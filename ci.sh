@@ -92,7 +92,9 @@ if [ -n "$stray" ]; then
 fi
 
 echo "==> fault sweep digest (behavior-preservation pin)"
-# Expected value lives in one place: fault::digest::PINNED_SWEEP_DIGEST.
+# Expected values live in one place: fault::digest::PINNED_SWEEP_DIGEST
+# (synchronous plain/torn sweeps) and PINNED_PIPELINED_DIGEST (the
+# hand-driven pipelined and pipelined-torn sweeps); --check fails on either.
 FAULT_SEED=0xBD15EED ./target/release/fault_sweep --digest --check
 
 echo "==> fault sweep smoke (pinned FAULT_SEED, incl. pipelined modes)"

@@ -25,8 +25,9 @@
 
 use bdhtm_core::trace::{chrome_trace, TraceMeta};
 use fault::{
-    pinned_digest, seed_from_env, sweep_all, sweep_all_pipelined, sweep_runtime_all, RuntimeReport,
-    SweepConfig, SweepReport, PINNED_SWEEP_DIGEST,
+    pinned_digest, pinned_pipelined_digest, seed_from_env, sweep_all, sweep_all_pipelined,
+    sweep_runtime_all, RuntimeReport, SweepConfig, SweepReport, PINNED_PIPELINED_DIGEST,
+    PINNED_SWEEP_DIGEST,
 };
 use htm_sim::HtmConfig;
 
@@ -80,17 +81,27 @@ fn main() {
 
     if digest {
         // Behavior-preservation mode: print the pinned-seed outcome
-        // digest; with --check, also compare it to the single recorded
-        // constant (fault::PINNED_SWEEP_DIGEST) so CI reads one source
-        // of truth instead of restating the hex in shell.
+        // digests (synchronous sweeps, then pipelined sweeps); with
+        // --check, also compare them to the recorded constants in
+        // fault::digest so CI reads one source of truth instead of
+        // restating the hex in shell.
         let d = pinned_digest(seed);
+        let p = pinned_pipelined_digest(seed);
         println!("{d:#018x}");
-        if check && d != PINNED_SWEEP_DIGEST {
-            eprintln!(
-                "pinned-seed sweep digest changed: got {d:#018x}, want {PINNED_SWEEP_DIGEST:#018x}"
-            );
+        println!("{p:#018x} pipelined");
+        let mut drifted = false;
+        for (name, got, want) in [
+            ("PINNED_SWEEP_DIGEST", d, PINNED_SWEEP_DIGEST),
+            ("PINNED_PIPELINED_DIGEST", p, PINNED_PIPELINED_DIGEST),
+        ] {
+            if check && got != want {
+                eprintln!("pinned-seed digest {name} changed: got {got:#018x}, want {want:#018x}");
+                drifted = true;
+            }
+        }
+        if drifted {
             eprintln!("(a refactor altered crash-point schedules or recovery outcomes;");
-            eprintln!(" if intentional, update fault::digest::PINNED_SWEEP_DIGEST)");
+            eprintln!(" if intentional, update the constant in fault::digest)");
             std::process::exit(1);
         }
         return;

@@ -19,13 +19,13 @@ pub mod pipeline;
 pub mod runtime;
 pub mod sweep;
 
-pub use digest::{PINNED_SWEEP_DIGEST, PINNED_SWEEP_SEED};
+pub use digest::{PINNED_PIPELINED_DIGEST, PINNED_SWEEP_DIGEST, PINNED_SWEEP_SEED};
 pub use pipeline::{
     enumerate_points_pipelined, replay_pipelined, sweep_all_pipelined, sweep_pipelined,
 };
 pub use runtime::{sweep_runtime, sweep_runtime_all, RuntimeReport};
 pub use sweep::{
-    digest_reports, enumerate_points, pinned_digest, replay, replay_with_dump, seed_from_env,
-    silence_crash_panics, sweep, sweep_all, ReplayVerdict, SweepConfig, SweepReport, SweepTarget,
-    UNIVERSE_BITS,
+    digest_reports, enumerate_points, pinned_digest, pinned_pipelined_digest, replay,
+    replay_with_dump, seed_from_env, silence_crash_panics, sweep, sweep_all, ReplayVerdict,
+    SweepConfig, SweepReport, SweepTarget, UNIVERSE_BITS,
 };

@@ -560,6 +560,22 @@ pub fn pinned_digest(seed: u64) -> u64 {
     digest_reports(&reports)
 }
 
+/// The pipelined counterpart of [`pinned_digest`]: the plain and
+/// torn-write *pipelined* sweeps ([`mod@crate::pipeline`]) of every
+/// structure family, at the same configuration, folded the same way.
+/// It pins the hand-driven seal → persist → frontier-publish schedule,
+/// which the synchronous sweeps never cross.
+pub fn pinned_pipelined_digest(seed: u64) -> u64 {
+    let mut cfg = SweepConfig::quick(seed);
+    cfg.ops = 160;
+    cfg.max_replays = 25;
+    let mut reports = crate::pipeline::sweep_all_pipelined(&cfg);
+    reports.extend(crate::pipeline::sweep_all_pipelined(
+        &cfg.clone().with_torn_writes(),
+    ));
+    digest_reports(&reports)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
