@@ -3,7 +3,7 @@
 //! written back, crash-while-in-flight recovery, and backpressure that
 //! waits on the persister instead of flushing on the foreground thread.
 
-use bdhtm_core::{EpochConfig, EpochSys, Persister, EPOCH_START};
+use bdhtm_core::{EpochConfig, EpochSys, EpochTicker, Persister, EPOCH_START};
 use nvm_sim::{FaultPlan, NvmConfig, NvmHeap};
 use persist_alloc::Header;
 use std::sync::atomic::Ordering;
@@ -162,4 +162,52 @@ fn backpressure_waits_on_persister_and_stays_bounded() {
     );
     assert_eq!(es.persisted_frontier(), es.current_epoch() - 2);
     assert_eq!(es.buffered_words(), 0);
+}
+
+/// The clock never queues behind a write-back. nvm-sim's per-line
+/// latency holds one sealed batch on the persister for tens of
+/// milliseconds; with 2 ms epochs and a pipeline deep enough never to
+/// stall, the ticker must keep advancing the clock at its own cadence
+/// while that batch is still unpublished.
+#[test]
+fn tick_keeps_cadence_while_a_batch_writes_back() {
+    let mut nc = NvmConfig::for_tests(8 << 20);
+    nc.writeback_ns = 500_000; // 0.5 ms per line: 80 one-line blocks ≳ 40 ms
+    let heap = Arc::new(NvmHeap::new(nc));
+    let es = EpochSys::format(
+        heap,
+        EpochConfig::manual()
+            .with_epoch_len(Duration::from_millis(2))
+            .with_pipeline_depth(64)
+            .with_persist_workers(1),
+    );
+    let persister = Persister::spawn(Arc::clone(&es));
+    let sealed = EPOCH_START;
+    for i in 0..80 {
+        assert_eq!(publish(&es, i), sealed);
+    }
+    let ticker = EpochTicker::spawn(Arc::clone(&es));
+
+    // Clock read first, frontier second: a frontier still below
+    // `sealed` proves the batch was unpublished at the clock read too.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut held_max = sealed;
+    loop {
+        let clock = es.current_epoch();
+        if es.persisted_frontier() >= sealed {
+            break;
+        }
+        held_max = held_max.max(clock);
+        assert!(Instant::now() < deadline, "the held batch never persisted");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    ticker.stop();
+    persister.stop();
+    // The batch closing `sealed` is sealed by the advance to sealed + 2.
+    let advances_while_held = held_max.saturating_sub(sealed + 2);
+    assert!(
+        advances_while_held >= 5,
+        "the clock advanced only {advances_while_held} times while the batch wrote back"
+    );
+    assert_eq!(es.persisted_frontier(), es.current_epoch() - 2);
 }

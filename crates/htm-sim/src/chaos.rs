@@ -15,9 +15,9 @@
 //! 1. **Disarmed** (production / normal tests): [`point`] is a single
 //!    relaxed load of an `AtomicBool` and a branch — effectively free,
 //!    so the hooks can stay in the hot paths permanently.
-//! 2. **Armed** ([`arm`]): each thread draws from its own SplitMix64
-//!    stream, seeded from the session seed and the thread's *lane* (its
-//!    registration order within the session). Decisions are a pure
+//! 2. **Armed** ([`arm`]): each *enlisted* thread draws from its own
+//!    SplitMix64 stream, seeded from the session seed and the thread's
+//!    *lane* (its registration order within the session). Decisions are a pure
 //!    function of `(seed, lane, visit index)`; on the single-core CI
 //!    box, yields at protocol boundaries are what drive the
 //!    interleaving, so a failing seed is strongly reproducible. The
@@ -28,10 +28,13 @@
 //!    deterministically — no probabilities involved.
 //!
 //! Sessions are process-global and serialized: [`arm`] blocks until the
-//! previous session drops, so chaos-driven tests in one binary cannot
-//! interfere with each other. Threads *outside* the arming test also hit
-//! armed points; harmless — they only gain extra yields (gates are
-//! one-shot and scripted tests control which threads run).
+//! previous session drops. Only threads *enlisted* in the session act on
+//! its points: the arming thread, plus every thread that calls
+//! [`enlist`] while the session is armed (workload threads the test
+//! spawns). Every other thread in the process passes armed points
+//! untouched — no injected delay, no schedule record, no gate capture —
+//! so concurrent tests that merely run instrumented code can neither
+//! perturb nor be perturbed by a session.
 
 use crate::rng::SplitMix64;
 use crate::tid::thread_id;
@@ -158,27 +161,61 @@ thread_local! {
     /// `(generation, lane, rng)` for the current session, re-derived on
     /// the first point of a new generation.
     static TLS: Cell<(u64, u32, SplitMix64)> = const { Cell::new((0, 0, SplitMix64::new(0))) };
+    /// Generation of the session this thread is enlisted in; a thread
+    /// acts on points only while this equals the armed [`GENERATION`].
+    static ENLISTED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Returns whether a chaos session is currently armed.
+/// Whether the calling thread is enlisted in the current session.
+#[inline]
+fn enlisted() -> bool {
+    ENLISTED.with(|e| e.get()) == GENERATION.load(Ordering::Relaxed)
+}
+
+/// Returns whether a chaos session is armed *for the calling thread*:
+/// a session is armed and this thread is enlisted in it.
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    ARMED.load(Ordering::Relaxed) && enlisted()
+}
+
+/// Enlists the calling thread in the currently armed session, so its
+/// chaos points inject, record and honour gates. Workload threads call
+/// this first thing; the arming thread is enlisted by [`arm`]. A thread
+/// stays enlisted until the session drops. Without an armed session it
+/// has no effect on any later session.
+pub fn enlist() {
+    ENLISTED.with(|e| e.set(GENERATION.load(Ordering::Acquire)));
 }
 
 /// A chaos point: a named site where the harness may perturb the
 /// schedule. Compiles to a relaxed load and a predictable branch when no
 /// session is armed — cheap enough for permanent placement on hot paths.
+/// Threads not enlisted in the armed session pass through untouched.
 #[inline]
 pub fn point(site: &'static str) {
     if !ARMED.load(Ordering::Relaxed) {
         return;
     }
+    if !enlisted() {
+        return;
+    }
     point_slow(site);
+}
+
+/// The slow path's re-check: an Acquire load of `ARMED` that reads
+/// `true` also makes that session's `GENERATION` visible, so a thread
+/// left over from an earlier session (say, released from a gate as its
+/// session dropped) can never act on — or record into — the next one.
+fn acting() -> bool {
+    ARMED.load(Ordering::Acquire) && enlisted()
 }
 
 #[cold]
 fn point_slow(site: &'static str) {
+    if !acting() {
+        return;
+    }
     // Register the thread's session lane first so gate-park events carry
     // a meaningful lane in the schedule recording.
     let gen = GENERATION.load(Ordering::Acquire);
@@ -195,7 +232,7 @@ fn point_slow(site: &'static str) {
     // its park exactly at the site, with no rng state consumed.
     if GATES_ENABLED.load(Ordering::Acquire) {
         park_if_gated(site, lane);
-        if !ARMED.load(Ordering::Relaxed) {
+        if !acting() {
             return; // session ended while parked
         }
     }
@@ -271,7 +308,8 @@ pub struct ChaosSession {
 }
 
 /// Arms a chaos session with `config`, blocking until any previous
-/// session has been dropped (sessions are process-global).
+/// session has been dropped (sessions are process-global). The calling
+/// thread is enlisted; other threads join with [`enlist`].
 pub fn arm(config: Config) -> ChaosSession {
     while SESSION_LOCK
         .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -290,6 +328,7 @@ pub fn arm(config: Config) -> ChaosSession {
         rec.dropped.store(0, Ordering::Relaxed);
     }
     GENERATION.fetch_add(1, Ordering::Release);
+    enlist();
     ARMED.store(true, Ordering::Release);
     ChaosSession { seed: config.seed }
 }
@@ -398,10 +437,40 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_free_and_silent() {
+        // Another test's session may be armed concurrently: this thread
+        // is not enlisted in it, so it must see itself disarmed and its
+        // points must neither act nor leak into that session.
         assert!(!armed());
         for _ in 0..10_000 {
             point("test::noop");
         }
+    }
+
+    #[test]
+    fn only_enlisted_threads_act_on_an_armed_session() {
+        let session = arm(Config {
+            seed: 11,
+            yield_ppm: 1_000_000,
+            spin_ppm: 0,
+        });
+        assert!(armed(), "the arming thread is enlisted");
+        std::thread::spawn(|| {
+            assert!(!armed(), "a fresh thread is not enlisted");
+            for _ in 0..100 {
+                point("test::outsider");
+            }
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(|| {
+            enlist();
+            assert!(armed());
+            point("test::insider");
+        })
+        .join()
+        .unwrap();
+        let sites: Vec<_> = session.take_schedule().iter().map(|e| e.site).collect();
+        assert_eq!(sites, vec!["test::insider"]);
     }
 
     #[test]
@@ -437,6 +506,7 @@ mod tests {
         let reached = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&reached);
         let h = std::thread::spawn(move || {
+            enlist();
             point("test::gate");
             r2.fetch_add(1, Ordering::SeqCst);
         });
@@ -457,7 +527,10 @@ mod tests {
             spin_ppm: 0,
         });
         session.close_once("test::drop_gate");
-        let h = std::thread::spawn(|| point("test::drop_gate"));
+        let h = std::thread::spawn(|| {
+            enlist();
+            point("test::drop_gate")
+        });
         session.await_parked("test::drop_gate", 1);
         drop(session);
         h.join().unwrap();

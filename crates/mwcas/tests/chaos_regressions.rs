@@ -84,6 +84,7 @@ fn stale_helper_must_not_leak_a_marker_into_a_released_op() {
             let owner = {
                 let pool = Arc::clone(&pool);
                 s.spawn(move || {
+                    htm_sim::chaos::enlist();
                     pool.mwcas(&[
                         MwTarget {
                             addr: w0,
@@ -104,7 +105,10 @@ fn stale_helper_must_not_leak_a_marker_into_a_released_op() {
             // of the helping path, holding a snapshot of the operation.
             let helper = {
                 let pool = Arc::clone(&pool);
-                s.spawn(move || pool.read(w0))
+                s.spawn(move || {
+                    htm_sim::chaos::enlist();
+                    pool.read(w0)
+                })
             };
             session.await_parked("mwcas::help_enter", 1);
 
@@ -168,6 +172,7 @@ fn stale_helper_must_not_reapply_a_decided_op_after_aba() {
             let owner = {
                 let pool = Arc::clone(&pool);
                 s.spawn(move || {
+                    htm_sim::chaos::enlist();
                     pool.mwcas(&[
                         MwTarget {
                             addr: w0,
@@ -186,7 +191,10 @@ fn stale_helper_must_not_reapply_a_decided_op_after_aba() {
 
             let helper = {
                 let pool = Arc::clone(&pool);
-                s.spawn(move || pool.read(w0))
+                s.spawn(move || {
+                    htm_sim::chaos::enlist();
+                    pool.read(w0)
+                })
             };
             session.await_parked("mwcas::help_enter", 1);
 

@@ -32,6 +32,7 @@ pub fn dl_mixed_ops(mode: PersistMode, threads: u64, ops_per_thread: u64, keyspa
         for t in 0..threads {
             let l = Arc::clone(&l);
             s.spawn(move || {
+                htm_sim::chaos::enlist();
                 let mut rng = t * 31 + 1;
                 for _ in 0..ops_per_thread {
                     let r = xorshift(&mut rng);
@@ -69,6 +70,7 @@ pub fn bdl_mixed_ops(threads: u64, ops_per_thread: u64, keyspace: u64, advances:
         for t in 0..threads {
             let l = Arc::clone(&l);
             s.spawn(move || {
+                htm_sim::chaos::enlist();
                 let mut rng = t * 131 + 7;
                 for _ in 0..ops_per_thread {
                     let r = xorshift(&mut rng);
@@ -91,6 +93,7 @@ pub fn bdl_mixed_ops(threads: u64, ops_per_thread: u64, keyspace: u64, advances:
         }
         let l2 = Arc::clone(&l);
         s.spawn(move || {
+            htm_sim::chaos::enlist();
             for _ in 0..advances {
                 l2.epoch_sys().advance();
                 std::thread::sleep(std::time::Duration::from_millis(1));
