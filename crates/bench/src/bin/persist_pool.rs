@@ -7,12 +7,12 @@
 //! all of it durable. Two pool widths are timed through the identical
 //! public path ([`Persister::spawn`]):
 //!
-//! * **serial** — `persist_workers = 1`: the coordinator writes every
-//!   chunk itself, which is exactly the pre-pool single persister.
+//! * **serial** — `persist_workers = 1`: one persist thread writes each
+//!   batch back as a single chunk, the single-persister baseline.
 //! * **pooled** — `persist_workers = N` (`--workers`): each batch's
-//!   flush plan is partitioned into line-aligned chunks and fanned out;
-//!   the per-line spins overlap across workers while the fence and the
-//!   frontier publish stay single and ordered.
+//!   flush plan is partitioned into N line-aligned chunks that the N
+//!   persist threads claim; the per-line spins overlap across threads
+//!   while the fence and the frontier publish stay single and ordered.
 //!
 //! Throughput is durable words per second over the whole run (workload
 //! start → `flush_all` return), so sealing, chunking, joining, fencing
@@ -89,7 +89,7 @@ fn main() {
     let mut batches = 6usize;
     let mut blocks = 16usize;
     // Long enough per line that nvm-sim's latency injection yields the
-    // core between deadline checks: concurrent chunk workers overlap
+    // core between deadline checks: concurrent persist threads overlap
     // their waits even on single-core CI hosts.
     let mut writeback_ns = 20_000u64;
     let mut min_ratio: Option<f64> = None;

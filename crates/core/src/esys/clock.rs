@@ -263,13 +263,8 @@ impl EpochSys {
         // mid-wait cannot strand us.
         if self.pipelined() {
             let mut q = self.pipeline.lock();
-            while self.account.buffered() > bound && q.in_flight > 0 && self.pipelined() {
-                let (g, _) = self
-                    .pipeline
-                    .batch_done
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = g;
+            while self.account.buffered() > bound && q.in_flight() > 0 && self.pipelined() {
+                q = self.pipeline.wait(q, Duration::from_millis(1));
             }
         }
     }
@@ -331,7 +326,8 @@ impl EpochSys {
     /// tracked there, persists the frontier `R = e−1`, reclaims blocks
     /// retired in `e−1`, and publishes the new clock.
     ///
-    /// Normally driven by an [`EpochTicker`](crate::EpochTicker);
+    /// Normally driven by the tick role of the [`Runtime`](crate::Runtime)
+    /// (an [`EpochTicker`](crate::EpochTicker));
     /// callable directly for tests and deterministic experiments.
     ///
     /// Retries up to [`EpochConfig::advance_retries`] times when a
@@ -363,12 +359,13 @@ impl EpochSys {
     /// The foreground half is deliberately cheap: quiesce epoch `e−1`,
     /// take ownership of its arena buffers (plain `mem::take`s — the
     /// quiesce guarantees exclusion, no per-thread lock exists), seal
-    /// them into an [`EpochBatch`], and bump the clock. With a
-    /// [`Persister`](crate::Persister) attached the batch is merely
-    /// enqueued — no `persist_range` runs on the calling thread; the
-    /// persister writes it back, publishes the frontier, and reclaims.
-    /// Without one, the batch is drained inline before the clock bump,
-    /// reproducing the fully synchronous pre-pipeline behavior.
+    /// them into a batch, and bump the clock. With a persist
+    /// worker attached (a [`Persister`](crate::Persister) or a
+    /// [`Runtime::manual`](crate::Runtime::manual)) the batch is merely
+    /// enqueued — no `persist_range` runs on the calling thread; persist
+    /// steps write it back, publish the frontier, and reclaim. Without
+    /// one (or once health is `Degraded`), the same persist steps drain
+    /// it inline before the clock bump — the synchronous behavior.
     pub fn try_advance(&self) -> Result<(), AdvanceFault> {
         if self.is_disabled() {
             return Ok(());
@@ -412,27 +409,21 @@ impl EpochSys {
         {
             let depth = self.config().pipeline_depth.max(1);
             let mut q = self.pipeline.lock();
-            while self.pipelined() && q.in_flight >= depth {
+            while self.pipelined() && q.in_flight() >= depth {
                 self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
                 self.obs()
-                    .event(EventKind::PipelineStall, q.in_flight as u64, depth as u64);
-                let (g, _) = self
-                    .pipeline
-                    .batch_done
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap_or_else(|err| err.into_inner());
-                q = g;
+                    .event(EventKind::PipelineStall, q.in_flight() as u64, depth as u64);
+                q = self.pipeline.wait(q, Duration::from_millis(1));
             }
             q.batches.push_back(batch);
-            q.in_flight += 1;
         }
         if self.pipelined() {
-            self.pipeline.batch_ready.notify_one();
+            self.pipeline.changed.notify_all();
         } else {
             // Synchronous mode: drain on the calling thread — including
             // any batches a detached persister left behind — keeping
             // the legacy ordering (persist, then frontier, then clock).
-            while self.persist_next_batch() {}
+            self.drain_sealed();
         }
 
         // 5. Open the next epoch.

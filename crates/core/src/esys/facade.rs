@@ -26,7 +26,6 @@ use super::account::Accounting;
 use super::clock::{EpochClock, EMPTY_EPOCH, EPOCH_START};
 use super::health::{EpochStats, FaultInjector};
 use super::pipeline::Pipeline;
-use super::pool::ChunkPool;
 use super::tracking::{payload, ThreadArenas};
 use crate::error::{HealthState, PersistError};
 use crate::obs::Obs;
@@ -66,14 +65,8 @@ pub struct EpochSys {
     /// Striped buffered-word account.
     pub(super) account: Accounting,
     pub(super) advance_lock: Mutex<()>,
-    /// Serializes batch write-back so frontier publishes stay in epoch
-    /// order even with multiple persisters (or a persister racing an
-    /// inline drain).
-    pub(super) persist_lock: Mutex<()>,
+    /// Sealed-batch queue and the write-back in progress.
     pub(super) pipeline: Pipeline,
-    /// Chunk fan-out state of the persister pool (write-back sharding
-    /// within a batch; see `esys::pool`).
-    pub(super) pool: ChunkPool,
     /// eADR detected: tracking and advancement are unnecessary (§4.3).
     disabled: bool,
     config: EpochConfig,
@@ -125,9 +118,7 @@ impl EpochSys {
             arenas: ThreadArenas::new(),
             account: Accounting::new(),
             advance_lock: Mutex::new(()),
-            persist_lock: Mutex::new(()),
             pipeline: Pipeline::new(),
-            pool: ChunkPool::new(),
             disabled,
             config,
             stats: EpochStats::default(),

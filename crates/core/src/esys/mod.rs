@@ -11,8 +11,8 @@
 //! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair | §3 epoch discipline |
 //! | [`tracking`] | per-thread single-writer buffer arenas, prealloc slots | Listing 1 lines 7–12, 31–38 |
 //! | [`account`] | striped buffered-word accounting | §5.1 buffered-bytes bound |
-//! | [`pipeline`] | sealed [`EpochBatch`] queue, seal/persist split | §3 step 2 (write-back) |
-//! | [`pool`] | persister-pool chunk fan-out, flush-plan partitioning | §3 step 2 (write-back bandwidth) |
+//! | [`pipeline`] | sealed [`EpochBatch`] queue, the one persist step | §3 step 2 (write-back) |
+//! | [`plan`] | flush plans and their split into per-worker chunks | §3 step 2 (write-back bandwidth) |
 //! | [`health`] | stats, the `Ok → Degraded → Failed` ladder, fault knobs | §5 runtime faults |
 //! | [`facade`] | [`EpochSys`] itself: the Table 2 methods, advance, recovery hooks | Table 2 |
 //!
@@ -25,14 +25,14 @@ mod clock;
 mod facade;
 mod health;
 mod pipeline;
-mod pool;
+mod plan;
 mod tracking;
 
 pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
 pub use health::{AdvanceFault, EpochStats, EpochStatsSnapshot};
-pub use pipeline::EpochBatch;
+pub(crate) use pipeline::Persisted;
 pub use tracking::{payload, PreallocSlots};
 
 #[cfg(test)]

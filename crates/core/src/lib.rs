@@ -85,16 +85,15 @@ mod kv;
 pub mod obs;
 mod op;
 mod recovery;
-mod sampler;
-mod ticker;
+mod runtime;
 pub mod trace;
 pub mod watchdog;
 
 pub use config::{EpochConfig, MAX_PERSIST_WORKERS};
-pub use error::{HealthState, OpRejected, PersistError, RetireError, SpawnError};
+pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
-    payload, AdvanceFault, EpochBatch, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots,
-    UpdateKind, EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
+    payload, AdvanceFault, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind,
+    EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
 };
 pub use kv::{BdlKv, KV_UNIVERSE_BITS};
 pub use obs::{
@@ -104,6 +103,5 @@ pub use obs::{
 pub use op::{run_op, CommitEffects, OpGuard, OpStep, RestartFn};
 pub use persist_alloc::INVALID_EPOCH;
 pub use recovery::LiveBlock;
-pub use sampler::Sampler;
-pub use ticker::{EpochTicker, Persister};
-pub use watchdog::{Watchdog, WatchdogPolicy};
+pub use runtime::{EpochTicker, Persister, Role, Runtime, Sampler, Watchdog};
+pub use watchdog::WatchdogPolicy;

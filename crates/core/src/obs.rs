@@ -659,12 +659,11 @@ pub struct DerivedGauges {
     /// Flight-recorder events lost to ring wrap (see
     /// [`Obs::flight_events_dropped`]).
     pub flight_events_dropped: u64,
-    /// Attached write-back workers: the persister head-count plus the
-    /// pool's chunk workers (0 = everything persists inline).
+    /// Attached persist workers (0 = everything persists inline).
     pub persist_workers: u64,
-    /// Cumulative words written back per pool worker slot (slot 0 is
-    /// the coordinator / inline drains; chunk workers fill 1..) — the
-    /// fan-out balance gauge.
+    /// Cumulative words written back per persist worker slot (slot 0
+    /// also takes hand-driven steps and inline drains) — the chunk
+    /// balance gauge.
     pub persist_worker_words: [u64; crate::MAX_PERSIST_WORKERS],
 }
 

@@ -323,16 +323,16 @@ mod tests {
     fn crash_with_frontier_lag_beyond_two_recovers_to_frontier() {
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
         let es = EpochSys::format(heap, EpochConfig::manual().with_pipeline_depth(4));
-        // Pretend a persister exists but never runs: batches seal and
-        // queue, the frontier never moves, the clock runs ahead.
-        es.attach_persister();
+        // A hand-stepped runtime stands in for the persister: batches
+        // seal and queue, and the frontier moves only when it steps.
+        let rt = crate::Runtime::manual(Arc::clone(&es));
 
         let (_ea, durable_blk) = publish(&es, 0xD0, 1);
         es.advance();
         es.advance();
         // Persist exactly the two sealed batches: durable_blk is now on
         // media and the frontier covers its epoch.
-        while es.persist_next_batch() {}
+        rt.drain();
         let r = es.persisted_frontier();
 
         // Three more epochs of publishes, sealed but never persisted.
@@ -357,7 +357,6 @@ mod tests {
         // The lost blocks' space was reclaimed, not leaked.
         let bytes_one_block = es2.alloc_stats().bytes_in_use();
         assert!(bytes_one_block > 0);
-        es.detach_persister();
     }
 
     #[test]

@@ -24,18 +24,20 @@
 //!   fully persisted epoch, and recovery from a crash of the frozen
 //!   system must yield precisely that epoch's prefix.
 //!
-//! Scheduling is deterministic: one driving thread, hand-driven drains
-//! (the [`mod@crate::pipeline`] idiom), and a device-fault stream that
+//! Scheduling is deterministic: one driving thread, hand-driven persist
+//! steps on a [`Runtime::manual`] (the [`mod@crate::pipeline`] idiom),
+//! and a device-fault stream that
 //! is a pure function of `(seed, guarded-op index)` — the same seed
 //! replays the same retries, the same degradations, the same verdicts.
 
 use crate::sweep::{check_recovered, durable_prefix, Mutation, SweepConfig, SweepTarget};
-use bdhtm_core::{EpochConfig, EpochSys, HealthState};
+use bdhtm_core::{EpochConfig, EpochSys, HealthState, Role, Runtime};
 use hashtable::BdSpash;
 use htm_sim::{Htm, SplitMix64};
 use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
 use skiplist::BdlSkiplist;
 use std::sync::Arc;
+use std::time::Instant;
 use veb::PhtmVeb;
 
 /// Pipeline depth for the hand-driven driver (see `pipeline.rs`).
@@ -63,26 +65,15 @@ impl RuntimeReport {
     }
 }
 
-/// Hand-driven `flush_all`: the driver owns the drain — there is no
-/// persister *thread* behind its `attach_persister` — so waiting on
-/// `batch_done` (what `flush_all` does in pipelined mode) would wedge.
-/// Seal two epochs and drain inline instead.
-fn drain_flush(esys: &EpochSys) {
-    for _ in 0..2 {
-        esys.advance();
-        while esys.persist_next_batch() {}
-    }
-}
-
 fn setup_runtime<T: SweepTarget>(
     cfg: &SweepConfig,
     econf: EpochConfig,
-) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
+) -> (Arc<NvmHeap>, Runtime, T) {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
     let esys = EpochSys::format(Arc::clone(&heap), econf.with_pipeline_depth(DRIVER_DEPTH));
-    esys.attach_persister();
-    let t = T::new(Arc::clone(&esys), Arc::new(Htm::new(cfg.htm.clone())));
-    (heap, esys, t)
+    let rt = Runtime::manual(Arc::clone(&esys));
+    let t = T::new(esys, Arc::new(Htm::new(cfg.htm.clone())));
+    (heap, rt, t)
 }
 
 /// The seeded mixed workload under device faults. Stops early (returns
@@ -91,10 +82,11 @@ fn setup_runtime<T: SweepTarget>(
 /// rejection panic.
 fn run_ops<T: SweepTarget>(
     t: &T,
-    esys: &EpochSys,
+    rt: &Runtime,
     cfg: &SweepConfig,
     log: &mut Vec<(u64, Mutation)>,
 ) -> bool {
+    let esys = rt.epoch_sys();
     let mut rng = SplitMix64::new(cfg.seed);
     for i in 0..cfg.ops {
         if esys.health() == HealthState::Failed {
@@ -122,7 +114,7 @@ fn run_ops<T: SweepTarget>(
         // the system degrades (advances then drain inline) or fails
         // (queue frozen).
         if i % cfg.advance_every == cfg.advance_every / 2 {
-            esys.persist_next_batch();
+            rt.step(Role::Persist, Instant::now());
         }
     }
     if esys.health() == HealthState::Failed {
@@ -130,7 +122,7 @@ fn run_ops<T: SweepTarget>(
     }
     // Clean tail: seal and drain whatever the cadence left behind.
     esys.advance();
-    while esys.persist_next_batch() {}
+    rt.drain();
     esys.health() != HealthState::Failed
 }
 
@@ -177,12 +169,13 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
     let econf = EpochConfig::manual()
         .with_persist_retries(6)
         .with_persist_backoff_spins(4);
-    let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
+    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
+    let esys = rt.epoch_sys();
     heap.arm_device_faults(Arc::clone(&faults));
     let mut log = Vec::new();
     let mut failures = Vec::new();
     let ctx = format!("{} runtime transient seed {:#x}", T::NAME, cfg.seed);
-    let completed = run_ops(&t, &esys, cfg, &mut log);
+    let completed = run_ops(&t, &rt, cfg, &mut log);
     if !completed {
         failures.push(format!("{ctx}: fail-stopped under transient faults"));
     }
@@ -194,12 +187,12 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
     }
     heap.disarm_device_faults();
     if completed {
-        drain_flush(&esys);
+        esys.flush_all();
         if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
             failures.push(e);
         }
     }
-    finish_report::<T>(&esys, "transient", failures)
+    finish_report::<T>(esys, "transient", failures)
 }
 
 /// Scenario 2: one guaranteed budget exhaustion, then a healed device.
@@ -208,7 +201,8 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let econf = EpochConfig::manual()
         .with_persist_retries(retries)
         .with_persist_backoff_spins(1);
-    let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
+    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
+    let esys = rt.epoch_sys();
     // Every write-back fails until exactly one batch's attempt budget
     // (1 + retries injections) is burned, then the device heals: the
     // ladder stops at Degraded, deterministically.
@@ -222,7 +216,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let mut failures = Vec::new();
     let ctx = format!("{} runtime degrade seed {:#x}", T::NAME, cfg.seed);
     let f_before = esys.persisted_frontier();
-    let completed = run_ops(&t, &esys, cfg, &mut log);
+    let completed = run_ops(&t, &rt, cfg, &mut log);
     if !completed {
         failures.push(format!("{ctx}: escalated past Degraded"));
     }
@@ -249,12 +243,12 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     }
     heap.disarm_device_faults();
     if completed {
-        drain_flush(&esys);
+        esys.flush_all();
         if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
             failures.push(e);
         }
     }
-    finish_report::<T>(&esys, "degrade", failures)
+    finish_report::<T>(esys, "degrade", failures)
 }
 
 /// Scenario 3: a dead device — the ladder must run to fail-stop.
@@ -262,13 +256,14 @@ fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let econf = EpochConfig::manual()
         .with_persist_retries(0)
         .with_persist_backoff_spins(0);
-    let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
+    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
+    let esys = rt.epoch_sys();
     let faults = Arc::new(DeviceFaults::new(cfg.seed).with_writeback_failures(1000));
     heap.arm_device_faults(Arc::clone(&faults));
     let mut log = Vec::new();
     let mut failures = Vec::new();
     let ctx = format!("{} runtime failstop seed {:#x}", T::NAME, cfg.seed);
-    let completed = run_ops(&t, &esys, cfg, &mut log);
+    let completed = run_ops(&t, &rt, cfg, &mut log);
     if completed {
         failures.push(format!("{ctx}: never fail-stopped on a dead device"));
     }
@@ -295,7 +290,7 @@ fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
         failures.push(e);
     }
-    finish_report::<T>(&esys, "failstop", failures)
+    finish_report::<T>(esys, "failstop", failures)
 }
 
 fn finish_report<T: SweepTarget>(
@@ -304,7 +299,6 @@ fn finish_report<T: SweepTarget>(
     failures: Vec<String>,
 ) -> RuntimeReport {
     let snap = esys.stats().snapshot();
-    esys.detach_persister();
     RuntimeReport {
         structure: T::NAME,
         scenario,

@@ -24,6 +24,7 @@
 //! loses stripe updates across threads, double-drains on dedup, or
 //! forgets the abort refund breaks the predicted equality.
 
+use bd_htm::bdhtm_core::Runtime;
 use bd_htm::prelude::*;
 use std::sync::Arc;
 
@@ -214,13 +215,9 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
     // Background persistence with a hand-driven persister: seals and
     // write-backs are decoupled, so the accounting must hold words
     // until the *batch* persists, not just until the seal.
-    let es = fresh(
-        EpochConfig::manual()
-            .with_background_persist(true)
-            .with_pipeline_depth(2),
-    );
+    let es = fresh(EpochConfig::manual().with_pipeline_depth(2));
     let mut oracle = Oracle::default();
-    es.attach_persister();
+    let rt = Runtime::manual(Arc::clone(&es));
 
     let mut charged = 0u64;
     es.begin_op();
@@ -242,7 +239,7 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
     );
     assert!(es.batches_in_flight() > 0, "batch must be in flight");
 
-    while es.persist_next_batch() {}
+    rt.drain();
     oracle.epoch_drained(charged);
     assert_eq!(
         es.buffered_words(),
@@ -250,5 +247,4 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
         "batch completion drains exactly the sealed epoch's charge"
     );
     assert_eq!(es.buffered_words(), 0);
-    es.detach_persister();
 }

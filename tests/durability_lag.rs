@@ -15,7 +15,7 @@
 //! commit events), so these tests exercise exactly what a real
 //! application sees in its metrics report.
 
-use bd_htm::bdhtm_core::{HealthState, Persister};
+use bd_htm::bdhtm_core::{HealthState, Persister, Role, Runtime};
 use bd_htm::nvm_sim::DeviceFaults;
 use bd_htm::prelude::*;
 use std::sync::Arc;
@@ -139,7 +139,8 @@ fn lag_accounting_stays_coherent_through_degraded_and_failed() {
             .with_persist_retries(1)
             .with_persist_backoff_spins(1),
     );
-    esys.attach_persister(); // hand-driven pipelined mode
+    let rt = Runtime::manual(Arc::clone(&esys)); // hand-driven pipelined mode
+    let persist_step = || rt.step(Role::Persist, Instant::now());
 
     let mut commits = 0u64;
     for k in 0..16u64 {
@@ -149,7 +150,13 @@ fn lag_accounting_stays_coherent_through_degraded_and_failed() {
             esys.advance();
         }
     }
-    assert!(esys.persist_next_batch(), "healthy device: first batch ok");
+    let sealed = esys.batches_in_flight();
+    persist_step();
+    assert_eq!(
+        esys.batches_in_flight(),
+        sealed - 1,
+        "healthy device: first batch ok"
+    );
     assert_eq!(esys.health(), HealthState::Ok);
 
     // A device failing every write-back: the next batch burns its
@@ -157,7 +164,7 @@ fn lag_accounting_stays_coherent_through_degraded_and_failed() {
     heap.arm_device_faults(Arc::new(
         DeviceFaults::new(0xBD).with_writeback_failures(1000),
     ));
-    assert!(!esys.persist_next_batch());
+    persist_step();
     assert_eq!(esys.health(), HealthState::Degraded);
 
     // Degraded still accepts commits — their spans park behind the
@@ -167,7 +174,7 @@ fn lag_accounting_stays_coherent_through_degraded_and_failed() {
         commits += 1;
     }
 
-    assert!(!esys.persist_next_batch());
+    persist_step();
     assert_eq!(esys.health(), HealthState::Failed);
     heap.disarm_device_faults();
     assert!(
@@ -202,5 +209,4 @@ fn lag_accounting_stays_coherent_through_degraded_and_failed() {
             .and_then(|v| v.as_str()),
         Some("failed")
     );
-    esys.detach_persister();
 }

@@ -17,7 +17,7 @@
 //!   against live pools of every width × pipeline depth, compared
 //!   against the fully synchronous inline-persist baseline.
 
-use bd_htm::bdhtm_core::Persister;
+use bd_htm::bdhtm_core::{Persister, Runtime};
 use bd_htm::prelude::*;
 use std::sync::Arc;
 
@@ -53,10 +53,10 @@ fn deferred_drain_digest(workers: usize) -> u64 {
             // the clock while nothing is draining.
             .with_pipeline_depth(64),
     );
-    // Inert hand-driven registration: advances seal and enqueue, and
+    // Inert hand-driven runtime: advances seal and enqueue, and
     // nothing reclaims mid-workload, so every run allocates the same
     // block sequence regardless of width.
-    esys.attach_persister();
+    let rt = Runtime::manual(Arc::clone(&esys));
     for k in 0..240u64 {
         assert!(map.insert(k, k * 3 + 1));
         if k % 3 == 0 {
@@ -67,10 +67,10 @@ fn deferred_drain_digest(workers: usize) -> u64 {
         }
     }
     esys.advance();
-    esys.detach_persister();
+    drop(rt);
 
-    // A real pool (coordinator + workers−1 chunk threads) drains the
-    // backlog; flush_all waits until the frontier covers it all.
+    // A real pool of `workers` persist threads drains the backlog;
+    // flush_all returns once the frontier covers it all.
     let persister = Persister::spawn(Arc::clone(&esys));
     esys.flush_all();
     persister.stop();
@@ -87,7 +87,7 @@ fn live_pool_digest(pool: Option<(usize, usize)>) -> u64 {
         Some((workers, depth)) => EpochConfig::manual()
             .with_persist_workers(workers)
             .with_pipeline_depth(depth),
-        None => EpochConfig::manual().with_background_persist(false),
+        None => EpochConfig::manual(),
     };
     let (heap, esys, map) = stack(ec);
     let persister = pool.map(|_| Persister::spawn(Arc::clone(&esys)));
