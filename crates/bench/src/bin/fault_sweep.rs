@@ -25,9 +25,8 @@
 
 use bdhtm_core::trace::{chrome_trace, TraceMeta};
 use fault::{
-    pinned_digest, pinned_pipelined_digest, seed_from_env, sweep_all, sweep_all_pipelined,
-    sweep_runtime_all, RuntimeReport, SweepConfig, SweepReport, PINNED_PIPELINED_DIGEST,
-    PINNED_SWEEP_DIGEST,
+    pinned_digest, pinned_pipelined_digest, seed_from_env, sweep_all, sweep_runtime_all,
+    RuntimeReport, SweepConfig, SweepReport, PINNED_PIPELINED_DIGEST, PINNED_SWEEP_DIGEST,
 };
 use htm_sim::HtmConfig;
 
@@ -139,12 +138,13 @@ fn main() {
         }
         // `pipelined*` modes drive the background-persist crash sweep:
         // epoch advances only seal batches, write-backs and frontier
-        // publishes happen on a deterministic stand-in for the
-        // persister, and crashes land while batches are in flight.
-        let pipelined = mode.starts_with("pipelined");
+        // publishes happen on hand-stepped persist steps, and crashes
+        // land while batches are in flight.
         let cfg = match mode.as_str() {
-            "plain" | "pipelined" => base.clone(),
-            "torn" | "pipelined-torn" => base.clone().with_torn_writes(),
+            "plain" => base.clone(),
+            "torn" => base.clone().with_torn_writes(),
+            "pipelined" => base.clone().with_pipelined(),
+            "pipelined-torn" => base.clone().with_pipelined().with_torn_writes(),
             "double" => base.clone().with_torn_writes().with_double_crash(),
             "aborts" => base.clone().with_htm(
                 HtmConfig::for_tests()
@@ -156,12 +156,7 @@ fn main() {
                 usage()
             }
         };
-        let reports = if pipelined {
-            sweep_all_pipelined(&cfg)
-        } else {
-            sweep_all(&cfg)
-        };
-        for report in reports {
+        for report in sweep_all(&cfg) {
             print_report(mode, &report);
             if !report.passed() {
                 failed = true;

@@ -107,14 +107,11 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
     if req(doc, "schema").as_str() != Some(METRICS_SCHEMA) {
         fail(&format!("schema is not {METRICS_SCHEMA:?}"));
     }
-    // v2, v3 and v4 only *added* fields (runtime-fault counters,
-    // durability-lag telemetry and persister-pool telemetry
-    // respectively), so this checker accepts every version back to 1.
+    // Only the current schema version is accepted: every producer is
+    // in this repository and writes it.
     let version = req_u64(doc, "version");
-    if !(1..=METRICS_VERSION).contains(&version) {
-        fail(&format!(
-            "version {version} outside supported 1..={METRICS_VERSION}"
-        ));
+    if version != METRICS_VERSION {
+        fail(&format!("version {version} is not {METRICS_VERSION}"));
     }
 
     // HTM coherence: attempts = commits + sum of abort causes.
@@ -156,44 +153,40 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
             ));
         }
         summary.push(format!("frontier_lag={lag}"));
-        // v3 lag gauges: quantiles monotone, consistent with the
+        // Lag gauges: quantiles monotone, consistent with the
         // durability_lag_ns histogram when both are present.
-        if version >= 3 {
-            let p50 = req_u64(d, "durability_lag_p50");
-            let p99 = req_u64(d, "durability_lag_p99");
-            let max = req_u64(d, "durability_lag_max");
-            if !(p50 <= p99 && p99 <= max) {
-                fail(&format!(
-                    "derived incoherent: durability lag quantiles not monotone \
-                     (p50={p50} p99={p99} max={max})"
-                ));
-            }
-            let _ = req_u64(d, "lag_spans_dropped");
-            let _ = req_u64(d, "flight_events_dropped");
-            summary.push(format!("lag_p99={p99}ns"));
+        let p50 = req_u64(d, "durability_lag_p50");
+        let p99 = req_u64(d, "durability_lag_p99");
+        let max = req_u64(d, "durability_lag_max");
+        if !(p50 <= p99 && p99 <= max) {
+            fail(&format!(
+                "derived incoherent: durability lag quantiles not monotone \
+                 (p50={p50} p99={p99} max={max})"
+            ));
         }
-        // v4 pool gauges: the worker count (a gauge of *attached* pool
+        let _ = req_u64(d, "lag_spans_dropped");
+        let _ = req_u64(d, "flight_events_dropped");
+        summary.push(format!("lag_p99={p99}ns"));
+        // Pool gauges: the worker count (a gauge of *attached* pool
         // threads — legitimately 0 in inline-persist mode) and a
         // well-formed per-worker write-back array. (No
         // sum-vs-words_persisted cross-check: the columns advance at
         // chunk completion, the total at batch completion, so a
         // mid-flight batch legitimately puts them out of step within
         // one sample.)
-        if version >= 4 {
-            let workers = req_u64(d, "persist_workers");
-            let per_worker = req(d, "persist_worker_words")
-                .as_arr()
-                .unwrap_or_else(|| fail("persist_worker_words is not an array"));
-            for w in per_worker {
-                if w.as_u64().is_none() {
-                    fail("persist_worker_words entry not a non-negative integer");
-                }
+        let workers = req_u64(d, "persist_workers");
+        let per_worker = req(d, "persist_worker_words")
+            .as_arr()
+            .unwrap_or_else(|| fail("persist_worker_words is not an array"));
+        for w in per_worker {
+            if w.as_u64().is_none() {
+                fail("persist_worker_words entry not a non-negative integer");
             }
-            if let Some(e) = doc.get("epoch") {
-                let _ = req_u64(e, "coalesced_flushes");
-            }
-            summary.push(format!("persist_workers={workers}"));
         }
+        if let Some(e) = doc.get("epoch") {
+            let _ = req_u64(e, "coalesced_flushes");
+        }
+        summary.push(format!("persist_workers={workers}"));
     }
 
     // Histograms: monotone quantiles, bucket counts sum to count.
@@ -202,17 +195,12 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
             for (name, h) in members {
                 check_hist(name, h);
             }
-            if doc.get("derived").is_some()
-                && req_u64(doc, "version") >= 3
-                && !members.iter().any(|(n, _)| n == "durability_lag_ns")
-            {
-                fail("v3 report with an epoch system lacks durability_lag_ns");
-            }
-            if doc.get("derived").is_some()
-                && req_u64(doc, "version") >= 4
-                && !members.iter().any(|(n, _)| n == "persist_chunks")
-            {
-                fail("v4 report with an epoch system lacks persist_chunks");
+            if doc.get("derived").is_some() {
+                for required in ["durability_lag_ns", "persist_chunks"] {
+                    if !members.iter().any(|(n, _)| n == required) {
+                        fail(&format!("report with an epoch system lacks {required}"));
+                    }
+                }
             }
             summary.push(format!("{} histograms", members.len()));
         }
@@ -238,9 +226,9 @@ fn check_series(path: &str) {
             ));
         }
         let version = req_u64(&doc, "version");
-        if !(1..=METRICS_VERSION).contains(&version) {
+        if version != METRICS_VERSION {
             fail(&format!(
-                "line {}: version {version} outside supported 1..={METRICS_VERSION}",
+                "line {}: version {version} is not {METRICS_VERSION}",
                 i + 1
             ));
         }

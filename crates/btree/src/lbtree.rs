@@ -1,8 +1,9 @@
 //! LB+Tree: DRAM inner nodes, NVM leaves, strict per-update write-back
 //! (Liu et al., VLDB 2020).
 
+use crate::stripes::LeafStripes;
 use crate::LEAF_CAP;
-use htm_sim::sync::{Mutex, RwLock};
+use htm_sim::sync::RwLock;
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, RecoveredBlock, HDR_WORDS};
 use std::sync::Arc;
@@ -16,7 +17,6 @@ const LEAF_PAYLOAD: u64 = L_PAIRS + 2 * LEAF_CAP as u64;
 
 /// Inner fanout before splitting.
 const INNER_CAP: usize = 64;
-const LEAF_LOCKS: usize = 512;
 
 enum Node {
     Inner { keys: Vec<u64>, kids: Vec<Node> },
@@ -30,7 +30,7 @@ pub struct LbTree {
     heap: Arc<NvmHeap>,
     alloc: Arc<PAlloc>,
     root: RwLock<Node>,
-    leaf_locks: Box<[Mutex<()>]>,
+    leaves: LeafStripes,
 }
 
 impl LbTree {
@@ -41,7 +41,7 @@ impl LbTree {
             heap,
             alloc,
             root: RwLock::new(Node::Leaf(leaf)),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            leaves: LeafStripes::new(),
         }
     }
 
@@ -84,11 +84,6 @@ impl LbTree {
         leaf.offset(HDR_WORDS + idx)
     }
 
-    #[inline]
-    fn leaf_lock(&self, leaf: NvmAddr) -> &Mutex<()> {
-        &self.leaf_locks[(leaf.0 as usize * 0x9E37) % LEAF_LOCKS]
-    }
-
     fn count(&self, leaf: NvmAddr) -> u64 {
         self.heap
             .word(self.pw(leaf, L_COUNT))
@@ -126,7 +121,7 @@ impl LbTree {
         loop {
             let guard = self.root.read();
             let leaf = Self::descend(&guard, key);
-            let _ll = self.leaf_lock(leaf).lock();
+            let _ll = self.leaves.lock(leaf);
             self.heap.charge_media_read(); // leaf visit
             let n = self.count(leaf);
             // In-place update?
@@ -168,7 +163,7 @@ impl LbTree {
     pub fn remove(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = Self::descend(&guard, key);
-        let _ll = self.leaf_lock(leaf).lock();
+        let _ll = self.leaves.lock(leaf);
         self.heap.charge_media_read();
         let n = self.count(leaf);
         for i in 0..n {
@@ -192,19 +187,17 @@ impl LbTree {
         None
     }
 
-    /// Lock-free lookup.
+    /// Lock-free lookup, validated against the leaf's stripe version.
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = Self::descend(&guard, key);
         self.heap.charge_media_read();
-        let n = self.count(leaf);
-        for i in 0..n {
-            let (k, v) = self.pair(leaf, i);
-            if k == key {
-                return Some(v);
-            }
-        }
-        None
+        self.leaves.read(leaf, || {
+            (0..self.count(leaf))
+                .map(|i| self.pair(leaf, i))
+                .find(|&(k, _)| k == key)
+                .map(|(_, v)| v)
+        })
     }
 
     pub fn contains(&self, key: u64) -> bool {
@@ -351,7 +344,7 @@ impl LbTree {
             heap: Arc::clone(&heap),
             alloc,
             root: RwLock::new(Node::Leaf(NvmAddr::NULL)),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            leaves: LeafStripes::new(),
         };
         // Collect every pair from every surviving leaf, rebuild bulk.
         let mut pairs = Vec::new();
@@ -498,6 +491,23 @@ mod tests {
                 assert_eq!(t.get(k), Some(k + 3), "lost {k}");
             }
         }
+    }
+
+    impl crate::tests::Map for LbTree {
+        fn insert(&self, key: u64, value: u64) -> Option<u64> {
+            LbTree::insert(self, key, value)
+        }
+        fn remove(&self, key: u64) -> Option<u64> {
+            LbTree::remove(self, key)
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            LbTree::get(self, key)
+        }
+    }
+
+    #[test]
+    fn lbtree_matches_oracle_under_contention() {
+        crate::tests::contended_oracle_check(&tree());
     }
 
     #[test]

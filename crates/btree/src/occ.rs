@@ -7,6 +7,7 @@
 //! and an insert–remove pair on the same key cancels outright — fewer
 //! operations and fewer NVM writes on skewed workloads.
 
+use crate::stripes::LeafStripes;
 use crate::LEAF_CAP;
 use htm_sim::sync::{Mutex, RwLock};
 use nvm_sim::{NvmAddr, NvmHeap};
@@ -27,7 +28,6 @@ const N_KEYS: u64 = 3;
 const N_KIDS: u64 = 64;
 const INNER_KEYS: u64 = 40;
 
-const LEAF_LOCKS: usize = 512;
 /// Pending-op slots per elimination stripe.
 const ELIM_SPIN: usize = 4000;
 
@@ -52,9 +52,13 @@ pub struct OccAbTree {
     heap: Arc<NvmHeap>,
     alloc: Arc<PAlloc>,
     root: RwLock<NvmAddr>,
-    leaf_locks: Box<[Mutex<()>]>,
-    /// Publishing-elimination queues (used only by [`ElimAbTree`]).
+    leaves: LeafStripes,
+    /// Publishing-elimination queues, one per leaf stripe (used only by
+    /// [`ElimAbTree`]).
     elim: Option<Box<[Mutex<Vec<Pending>>]>>,
+    /// Insert–remove pairs cancelled by [`Self::drain_elim`].
+    #[cfg(test)]
+    cancelled_pairs: AtomicU64,
 }
 
 /// OCC-ABTree with publishing elimination enabled.
@@ -72,8 +76,14 @@ impl OccAbTree {
             heap,
             alloc,
             root: RwLock::new(root),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
-            elim: elim.then(|| (0..LEAF_LOCKS).map(|_| Mutex::new(Vec::new())).collect()),
+            leaves: LeafStripes::new(),
+            elim: elim.then(|| {
+                (0..crate::stripes::STRIPES)
+                    .map(|_| Mutex::new(Vec::new()))
+                    .collect()
+            }),
+            #[cfg(test)]
+            cancelled_pairs: AtomicU64::new(0),
         }
     }
 
@@ -105,12 +115,6 @@ impl OccAbTree {
         self.heap
             .word(node.offset(HDR_WORDS + idx))
             .load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn leaf_lock(&self, leaf: NvmAddr) -> (&Mutex<()>, usize) {
-        let i = (leaf.0 as usize * 0x9E37) % LEAF_LOCKS;
-        (&self.leaf_locks[i], i)
     }
 
     /// Descends to the leaf covering `key`, charging one media read per
@@ -182,8 +186,8 @@ impl OccAbTree {
         loop {
             let guard = self.root.read();
             let leaf = self.descend(*guard, key);
-            let (lock, stripe) = self.leaf_lock(leaf);
-            match lock.try_lock() {
+            let stripe = LeafStripes::stripe(leaf);
+            match self.leaves.try_lock(leaf) {
                 Some(_g) => {
                     let full = self.w(leaf, N_COUNT) as usize >= LEAF_CAP
                         && self.leaf_find(leaf, key).is_none();
@@ -205,7 +209,7 @@ impl OccAbTree {
                         return r;
                     }
                     // No elimination (or abandoned): take the lock slowly.
-                    let _g = lock.lock();
+                    let _g = self.leaves.lock(leaf);
                     let full = self.w(leaf, N_COUNT) as usize >= LEAF_CAP
                         && self.leaf_find(leaf, key).is_none();
                     if full {
@@ -227,24 +231,30 @@ impl OccAbTree {
     pub fn remove(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = self.descend(*guard, key);
-        let (lock, stripe) = self.leaf_lock(leaf);
-        if lock.try_lock().is_none() {
-            if let Some(r) = self.eliminate(stripe, leaf, PendKind::Remove, key, 0, &guard) {
-                return r;
+        let stripe = LeafStripes::stripe(leaf);
+        let _g = match self.leaves.try_lock(leaf) {
+            Some(g) => g,
+            None => {
+                if let Some(r) = self.eliminate(stripe, leaf, PendKind::Remove, key, 0, &guard) {
+                    return r;
+                }
+                self.leaves.lock(leaf)
             }
-        }
-        let _g = lock.lock();
+        };
         let v = self.apply_remove(leaf, key);
         self.drain_elim(stripe, leaf);
         self.heap.fence();
         v
     }
 
-    /// Optimistic lock-free lookup.
+    /// Optimistic lock-free lookup, validated against the leaf's
+    /// stripe version.
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = self.descend(*guard, key);
-        self.leaf_find(leaf, key).map(|(_, v)| v)
+        self.leaves
+            .read(leaf, || self.leaf_find(leaf, key))
+            .map(|(_, v)| v)
     }
 
     pub fn contains(&self, key: u64) -> bool {
@@ -357,6 +367,8 @@ impl OccAbTree {
                     mine.remove(j);
                     mine.remove(i);
                     cancelled = true;
+                    #[cfg(test)]
+                    self.cancelled_pairs.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 j += 1;
@@ -560,8 +572,10 @@ impl OccAbTree {
             heap,
             alloc,
             root: RwLock::new(root),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            leaves: LeafStripes::new(),
             elim: None,
+            #[cfg(test)]
+            cancelled_pairs: AtomicU64::new(0),
         }
     }
 }
@@ -691,39 +705,136 @@ mod tests {
         }
     }
 
+    impl crate::tests::Map for OccAbTree {
+        fn insert(&self, key: u64, value: u64) -> Option<u64> {
+            OccAbTree::insert(self, key, value)
+        }
+        fn remove(&self, key: u64) -> Option<u64> {
+            OccAbTree::remove(self, key)
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            OccAbTree::get(self, key)
+        }
+    }
+
+    impl crate::tests::Map for ElimAbTree {
+        fn insert(&self, key: u64, value: u64) -> Option<u64> {
+            self.0.insert(key, value)
+        }
+        fn remove(&self, key: u64) -> Option<u64> {
+            self.0.remove(key)
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            self.0.get(key)
+        }
+    }
+
+    #[test]
+    fn occ_tree_matches_oracle_under_contention() {
+        crate::tests::contended_oracle_check(&occ());
+    }
+
     #[test]
     fn elim_tree_matches_oracle_under_contention() {
-        let t = Arc::new(ElimAbTree::new(Arc::new(NvmHeap::new(
+        // Contended stripes publish ops for the lock holder to apply.
+        // Each key has one owner here, so no pair cancels: see
+        // `elim_tree_returns_only_own_values_on_shared_keys` and
+        // `drain_cancellation_is_atomic_to_readers`.
+        crate::tests::contended_oracle_check(&ElimAbTree::new(Arc::new(NvmHeap::new(
             NvmConfig::for_tests(64 << 20),
         ))));
-        // Heavy contention on a tiny key range so elimination fires.
+    }
+
+    #[test]
+    fn elim_tree_returns_only_own_values_on_shared_keys() {
+        // Every thread updates the same keys, so opposite updates on one
+        // key may meet in a stripe queue and cancel. That takes three
+        // threads running at once; the cancellation branch itself is
+        // pinned by `drain_cancellation_is_atomic_to_readers`.
+        crate::tests::contended_shared_keys_check(&ElimAbTree::new(Arc::new(NvmHeap::new(
+            NvmConfig::for_tests(64 << 20),
+        ))));
+    }
+
+    #[test]
+    fn drain_cancellation_is_atomic_to_readers() {
+        let t = ElimAbTree::new(Arc::new(NvmHeap::new(NvmConfig::for_tests(32 << 20))));
+        for k in 0..16 {
+            t.insert(k, k << 32);
+        }
+        let leaf = t.0.descend(*t.0.root.read(), 5);
+        let stripe = LeafStripes::stripe(leaf);
+        let pend = |kind, key, value| {
+            let state = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+            let p = Pending {
+                leaf,
+                kind,
+                key,
+                value,
+                state: Arc::clone(&state),
+            };
+            (p, state)
+        };
+        let verdict =
+            |s: &(AtomicU64, AtomicU64)| (s.0.load(Ordering::Acquire), s.1.load(Ordering::Acquire));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let round_now = AtomicU64::new(0);
         std::thread::scope(|s| {
-            for tid in 0..4u64 {
-                let t = Arc::clone(&t);
-                s.spawn(move || {
-                    let mut rng = tid + 41;
-                    for _ in 0..4000 {
-                        rng ^= rng >> 12;
-                        rng ^= rng << 25;
-                        rng ^= rng >> 27;
-                        let k = rng % 32;
-                        match rng % 3 {
-                            0 => {
-                                t.insert(k, k * 101);
-                            }
-                            1 => {
-                                t.remove(k);
-                            }
-                            _ => {
-                                if let Some(v) = t.get(k) {
-                                    assert_eq!(v, k * 101);
-                                }
+            // A reader: each cancelled remove swaps the leaf's last pair,
+            // the other key of the two, into the freed slot. That key
+            // may neither go missing nor carry a foreign value.
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for k in [5, 6] {
+                        let before = round_now.load(Ordering::SeqCst);
+                        let got = t.get(k);
+                        let after = round_now.load(Ordering::SeqCst);
+                        match got {
+                            Some(v) => assert_eq!(v >> 32, k, "get({k}) torn"),
+                            // Absent only while its own round ran.
+                            None => {
+                                assert!(before != after || k == 5 + (before & 1), "key {k} missed")
                             }
                         }
                     }
-                });
+                }
+            });
+            let mut last = [5 << 32, 6 << 32];
+            for round in 1..=50_000u64 {
+                // Keys 5 and 6 take turns, so the removed key is never
+                // the leaf's last pair. Present: the insert replaces the
+                // old value, the remove takes the inserted one, and the
+                // key is gone. Key 40 absent: the insert finds nothing,
+                // the remove takes the inserted value, and the key stays
+                // absent.
+                round_now.store(round, Ordering::SeqCst);
+                let key = 5 + (round & 1);
+                let (ins, s_ins) = pend(PendKind::Insert, key, key << 32 | round);
+                let (rem, s_rem) = pend(PendKind::Remove, key, 0);
+                let (rem40, s_rem40) = pend(PendKind::Remove, 40, 0);
+                let (ins40, s_ins40) = pend(PendKind::Insert, 40, 40 << 32 | round);
+                t.0.elim.as_ref().unwrap()[stripe]
+                    .lock()
+                    .extend([ins, rem40, rem, ins40]);
+                {
+                    let _g = t.0.leaves.lock(leaf);
+                    t.0.drain_elim(stripe, leaf);
+                }
+                let i = (key - 5) as usize;
+                assert_eq!(verdict(&s_ins), (2, last[i]));
+                assert_eq!(verdict(&s_rem), (2, key << 32 | round));
+                assert_eq!(verdict(&s_ins40).0, 1);
+                assert_eq!(verdict(&s_rem40), (2, 40 << 32 | round));
+                assert_eq!(t.get(key), None);
+                assert_eq!(t.get(40), None);
+                last[i] = key << 32 | round;
+                t.insert(key, last[i]);
             }
+            done.store(true, Ordering::Relaxed);
         });
+        // The verdicts match applying each pair in order; the counter
+        // shows the drain cancelled them instead.
+        assert_eq!(t.0.cancelled_pairs.load(Ordering::Relaxed), 100_000);
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub struct EpochConfig {
     /// [`EpochTicker`](crate::EpochTicker)); with manual advancement it is
     /// informational.
     pub epoch_len: Duration,
-    /// Extra attempts [`EpochSys::advance`](crate::EpochSys::advance)
-    /// makes when a transition fails (injected faults); each failed
-    /// attempt yields before retrying. `0` means a single attempt.
-    pub advance_retries: u32,
     /// Bound on the buffered (tracked-but-not-yet-flushed) word set.
     /// When non-zero, a thread entering [`EpochSys::begin_op`](crate::EpochSys::begin_op)
     /// (crate::EpochSys::begin_op) while the set exceeds the bound first
@@ -81,7 +77,6 @@ impl Default for EpochConfig {
     fn default() -> Self {
         Self {
             epoch_len: Duration::from_millis(50),
-            advance_retries: 3,
             max_buffered_words: 0,
             pipeline_depth: 2,
             persist_workers: 0,
@@ -103,13 +98,6 @@ impl EpochConfig {
     /// Sets the epoch length (Fig. 7 / Fig. 8 sweeps).
     pub fn with_epoch_len(mut self, len: Duration) -> Self {
         self.epoch_len = len;
-        self
-    }
-
-    /// Sets the retry budget of a single
-    /// [`EpochSys::advance`](crate::EpochSys::advance) call.
-    pub fn with_advance_retries(mut self, retries: u32) -> Self {
-        self.advance_retries = retries;
         self
     }
 

@@ -43,6 +43,10 @@ pub const EPOCH_START: u64 = 2;
 /// Announcement-array value meaning "no operation in progress".
 pub const EMPTY_EPOCH: u64 = u64::MAX;
 
+/// Extra attempts [`EpochSys::advance`] makes when a transition fails
+/// (injected faults); each failed attempt yields before retrying.
+const ADVANCE_RETRIES: u32 = 3;
+
 /// The epoch clock, the volatile frontier mirror, and the announce
 /// array — all the state the registration handshake touches, in one
 /// place so its ordering argument is auditable in one screenful.
@@ -330,14 +334,11 @@ impl EpochSys {
     /// (an [`EpochTicker`](crate::EpochTicker));
     /// callable directly for tests and deterministic experiments.
     ///
-    /// Retries up to [`EpochConfig::advance_retries`] times when a
-    /// transition fails (injected epoch-system faults), yielding between
-    /// attempts; gives up silently after the budget — the next tick (or
-    /// backpressured [`begin_op`](EpochSys::begin_op)) tries again, so a
-    /// transiently stalled ticker degrades throughput without losing
-    /// correctness.
-    ///
-    /// [`EpochConfig::advance_retries`]: crate::config::EpochConfig::advance_retries
+    /// Retries up to `ADVANCE_RETRIES` (3) times when a transition fails
+    /// (injected epoch-system faults), yielding between attempts; gives
+    /// up silently after the budget — the next tick (or backpressured
+    /// [`begin_op`](EpochSys::begin_op)) tries again, so a transiently
+    /// stalled ticker degrades throughput without losing correctness.
     pub fn advance(&self) {
         if self.is_disabled() {
             return;
@@ -345,7 +346,7 @@ impl EpochSys {
         let mut attempt = 0;
         while self.try_advance().is_err() {
             attempt += 1;
-            if attempt > self.config().advance_retries {
+            if attempt > ADVANCE_RETRIES {
                 return;
             }
             std::thread::yield_now();

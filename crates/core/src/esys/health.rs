@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(es.stats().snapshot().advance_failures, 2);
 
         // advance() absorbs a burst shorter than its retry budget.
-        es.inject_advance_failures(2); // default advance_retries = 3
+        es.inject_advance_failures(2); // ADVANCE_RETRIES = 3
         es.advance();
         assert_eq!(es.current_epoch(), e0 + 2);
 

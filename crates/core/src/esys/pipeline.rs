@@ -535,8 +535,6 @@ impl EpochSys {
             .persist_batch_blocks
             .record(batch.persist.len() as u64);
         self.obs()
-            .event(EventKind::PersistBatch, batch.persist.len() as u64, words);
-        self.obs()
             .event(EventKind::BatchPersisted, r, batch.persist.len() as u64);
 
         self.pipeline.lock().writing = false;

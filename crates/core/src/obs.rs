@@ -23,7 +23,7 @@
 use crate::error::HealthState;
 use crate::esys::{EpochStatsSnapshot, EpochSys};
 use htm_sim::{max_threads, thread_id, HistSnapshot, Htm, LogHistogram, StatsSnapshot};
-use nvm_sim::{NvmHeap, NvmStatsSnapshot};
+use nvm_sim::{CrashPointKind, NvmHeap, NvmStatsSnapshot};
 use persist_alloc::AllocStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -55,8 +55,6 @@ pub enum EventKind {
     OpCommit = 2,
     /// The epoch clock moved: `a` = new epoch, `b` = new frontier.
     EpochAdvance = 3,
-    /// An advance flushed tracked blocks: `a` = blocks, `b` = words.
-    PersistBatch = 4,
     /// `begin_op` helped advance under a full buffered set:
     /// `a` = buffered words, `b` = configured bound.
     Backpressure = 5,
@@ -100,7 +98,6 @@ impl EventKind {
             1 => Some(EventKind::OpAbort),
             2 => Some(EventKind::OpCommit),
             3 => Some(EventKind::EpochAdvance),
-            4 => Some(EventKind::PersistBatch),
             5 => Some(EventKind::Backpressure),
             6 => Some(EventKind::FaultInjected),
             7 => Some(EventKind::BatchSealed),
@@ -195,17 +192,11 @@ impl FlightEvent {
             EventKind::EpochAdvance => {
                 format!("EpochAdvance e={} frontier={}", self.a, self.b)
             }
-            EventKind::PersistBatch => {
-                format!("PersistBatch blocks={} words={}", self.a, self.b)
-            }
             EventKind::Backpressure => {
                 format!("Backpressure buffered={} bound={}", self.a, self.b)
             }
             EventKind::FaultInjected => {
-                let kind = ["clwb", "fence", "format_line", "evict_line"]
-                    .get(self.b as usize)
-                    .copied()
-                    .unwrap_or("?");
+                let kind = CrashPointKind::from_code(self.b).map_or("?", CrashPointKind::name);
                 format!("FaultInjected point={} kind={}", self.a, kind)
             }
             EventKind::BatchSealed => {

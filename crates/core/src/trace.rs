@@ -222,13 +222,6 @@ pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
                 e.t_ns,
                 &format!("\"in_flight\":{},\"depth\":{}", e.a, e.b),
             ),
-            EventKind::PersistBatch => out.instant(
-                "persist-batch",
-                "persist",
-                TID_PERSIST,
-                e.t_ns,
-                &format!("\"blocks\":{},\"words\":{}", e.a, e.b),
-            ),
             EventKind::BatchPersisted => {
                 out.instant(
                     "frontier-publish",

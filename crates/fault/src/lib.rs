@@ -11,18 +11,17 @@
 //! * the epoch system's injectable advance failures
 //!   ([`bdhtm_core::EpochSys::inject_advance_failures`]),
 //!
-//! and sweeps every persist boundary a workload crosses — see
+//! and sweeps every persist boundary a workload crosses — synchronously
+//! or with batches in flight on a hand-stepped runtime — see
 //! [`mod@crate::sweep`] for the count→replay protocol.
+//! [`mod@crate::runtime`] runs the same workload on a live system with a
+//! misbehaving device instead.
 
 pub mod digest;
-pub mod pipeline;
 pub mod runtime;
 pub mod sweep;
 
 pub use digest::{PINNED_PIPELINED_DIGEST, PINNED_SWEEP_DIGEST, PINNED_SWEEP_SEED};
-pub use pipeline::{
-    enumerate_points_pipelined, replay_pipelined, sweep_all_pipelined, sweep_pipelined,
-};
 pub use runtime::{sweep_runtime, sweep_runtime_all, RuntimeReport};
 pub use sweep::{
     digest_reports, enumerate_points, pinned_digest, pinned_pipelined_digest, replay,

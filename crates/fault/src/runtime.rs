@@ -1,12 +1,12 @@
 //! Runtime device-fault sweep: the *live-system* counterpart of the
 //! crash sweeps.
 //!
-//! [`mod@crate::sweep`] and [`mod@crate::pipeline`] kill the machine at
-//! a numbered persist boundary and validate recovery. This module keeps
-//! the machine alive but makes the *device* unreliable: a seeded
-//! [`DeviceFaults`] schedule turns write-backs and fences into
-//! transient failures and latency spikes, and the assertions follow the
-//! epoch system across the whole fault-tolerance ladder —
+//! [`mod@crate::sweep`] kills the machine at a numbered persist boundary
+//! and validates recovery. This module keeps the machine alive but makes
+//! the *device* unreliable: a seeded [`DeviceFaults`] schedule turns
+//! write-backs and fences into transient failures and latency spikes,
+//! and the assertions follow the epoch system across the whole
+//! fault-tolerance ladder —
 //!
 //! * **transient** — moderate fault rates inside the persister's retry
 //!   budget: the workload must complete with health `Ok` or `Degraded`
@@ -24,24 +24,22 @@
 //!   fully persisted epoch, and recovery from a crash of the frozen
 //!   system must yield precisely that epoch's prefix.
 //!
-//! Scheduling is deterministic: one driving thread, hand-driven persist
-//! steps on a [`Runtime::manual`] (the [`mod@crate::pipeline`] idiom),
-//! and a device-fault stream that
-//! is a pure function of `(seed, guarded-op index)` — the same seed
-//! replays the same retries, the same degradations, the same verdicts.
+//! Every scenario runs the crash sweep's own setup and seeded workload
+//! in [`SweepConfig::pipelined`] mode (without background eviction), so
+//! scheduling is deterministic: one driving thread, persist steps on the
+//! sweep's seeded drain cadence, and a device-fault stream that is a
+//! pure function of `(seed, guarded-op index)` — the same seed replays
+//! the same retries, the same degradations, the same verdicts.
 
-use crate::sweep::{check_recovered, durable_prefix, Mutation, SweepConfig, SweepTarget};
-use bdhtm_core::{EpochConfig, EpochSys, HealthState, Role, Runtime};
+use crate::sweep::{
+    check_recovered, durable_prefix, run_workload, setup, Mutation, SweepConfig, SweepTarget,
+};
+use bdhtm_core::{EpochConfig, EpochSys, HealthState};
 use hashtable::BdSpash;
-use htm_sim::{Htm, SplitMix64};
-use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
+use nvm_sim::{DeviceFaults, NvmHeap};
 use skiplist::BdlSkiplist;
 use std::sync::Arc;
-use std::time::Instant;
 use veb::PhtmVeb;
-
-/// Pipeline depth for the hand-driven driver (see `pipeline.rs`).
-const DRIVER_DEPTH: usize = 4;
 
 /// One structure × scenario verdict.
 #[derive(Clone, Debug)]
@@ -65,65 +63,13 @@ impl RuntimeReport {
     }
 }
 
-fn setup_runtime<T: SweepTarget>(
-    cfg: &SweepConfig,
-    econf: EpochConfig,
-) -> (Arc<NvmHeap>, Runtime, T) {
-    let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
-    let esys = EpochSys::format(Arc::clone(&heap), econf.with_pipeline_depth(DRIVER_DEPTH));
-    let rt = Runtime::manual(Arc::clone(&esys));
-    let t = T::new(esys, Arc::new(Htm::new(cfg.htm.clone())));
-    (heap, rt, t)
-}
-
-/// The seeded mixed workload under device faults. Stops early (returns
-/// `false`) if the system fail-stops; health is re-checked between
-/// operations, so a single-threaded run never trips the `begin_op`
-/// rejection panic.
-fn run_ops<T: SweepTarget>(
-    t: &T,
-    rt: &Runtime,
-    cfg: &SweepConfig,
-    log: &mut Vec<(u64, Mutation)>,
-) -> bool {
-    let esys = rt.epoch_sys();
-    let mut rng = SplitMix64::new(cfg.seed);
-    for i in 0..cfg.ops {
-        if esys.health() == HealthState::Failed {
-            return false;
-        }
-        let key = 1 + rng.next_below(cfg.keys);
-        let value = rng.next_u64() | 1;
-        match rng.next_below(8) {
-            0..=3 => {
-                log.push((esys.current_epoch(), Mutation::Insert(key, value)));
-                t.insert(key, value);
-            }
-            4..=5 => {
-                log.push((esys.current_epoch(), Mutation::Remove(key)));
-                t.remove(key);
-            }
-            _ => {
-                t.get(key);
-            }
-        }
-        if i % cfg.advance_every == cfg.advance_every - 1 {
-            esys.advance();
-        }
-        // Hand-driven drain half a period after each seal; a no-op once
-        // the system degrades (advances then drain inline) or fails
-        // (queue frozen).
-        if i % cfg.advance_every == cfg.advance_every / 2 {
-            rt.step(Role::Persist, Instant::now());
-        }
+/// The sweep configuration every scenario runs: the CI-sized workload,
+/// pipelined, without background eviction.
+fn scenario_config(seed: u64) -> SweepConfig {
+    SweepConfig {
+        evict_every: 0,
+        ..SweepConfig::quick(seed).with_pipelined()
     }
-    if esys.health() == HealthState::Failed {
-        return false;
-    }
-    // Clean tail: seal and drain whatever the cadence left behind.
-    esys.advance();
-    rt.drain();
-    esys.health() != HealthState::Failed
 }
 
 /// Live-state oracle: the structure must equal the fold of *everything*
@@ -169,13 +115,12 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
     let econf = EpochConfig::manual()
         .with_persist_retries(6)
         .with_persist_backoff_spins(4);
-    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
-    let esys = rt.epoch_sys();
+    let (heap, esys, rt, t) = setup::<T>(cfg, econf);
     heap.arm_device_faults(Arc::clone(&faults));
     let mut log = Vec::new();
     let mut failures = Vec::new();
     let ctx = format!("{} runtime transient seed {:#x}", T::NAME, cfg.seed);
-    let completed = run_ops(&t, &rt, cfg, &mut log);
+    let completed = run_workload(&t, &esys, rt.as_ref(), cfg, &mut log);
     if !completed {
         failures.push(format!("{ctx}: fail-stopped under transient faults"));
     }
@@ -192,7 +137,7 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
             failures.push(e);
         }
     }
-    finish_report::<T>(esys, "transient", failures)
+    finish_report::<T>(&esys, "transient", failures)
 }
 
 /// Scenario 2: one guaranteed budget exhaustion, then a healed device.
@@ -201,8 +146,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let econf = EpochConfig::manual()
         .with_persist_retries(retries)
         .with_persist_backoff_spins(1);
-    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
-    let esys = rt.epoch_sys();
+    let (heap, esys, rt, t) = setup::<T>(cfg, econf);
     // Every write-back fails until exactly one batch's attempt budget
     // (1 + retries injections) is burned, then the device heals: the
     // ladder stops at Degraded, deterministically.
@@ -216,7 +160,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let mut failures = Vec::new();
     let ctx = format!("{} runtime degrade seed {:#x}", T::NAME, cfg.seed);
     let f_before = esys.persisted_frontier();
-    let completed = run_ops(&t, &rt, cfg, &mut log);
+    let completed = run_workload(&t, &esys, rt.as_ref(), cfg, &mut log);
     if !completed {
         failures.push(format!("{ctx}: escalated past Degraded"));
     }
@@ -248,7 +192,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
             failures.push(e);
         }
     }
-    finish_report::<T>(esys, "degrade", failures)
+    finish_report::<T>(&esys, "degrade", failures)
 }
 
 /// Scenario 3: a dead device — the ladder must run to fail-stop.
@@ -256,14 +200,13 @@ fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let econf = EpochConfig::manual()
         .with_persist_retries(0)
         .with_persist_backoff_spins(0);
-    let (heap, rt, t) = setup_runtime::<T>(cfg, econf);
-    let esys = rt.epoch_sys();
+    let (heap, esys, rt, t) = setup::<T>(cfg, econf);
     let faults = Arc::new(DeviceFaults::new(cfg.seed).with_writeback_failures(1000));
     heap.arm_device_faults(Arc::clone(&faults));
     let mut log = Vec::new();
     let mut failures = Vec::new();
     let ctx = format!("{} runtime failstop seed {:#x}", T::NAME, cfg.seed);
-    let completed = run_ops(&t, &rt, cfg, &mut log);
+    let completed = run_workload(&t, &esys, rt.as_ref(), cfg, &mut log);
     if completed {
         failures.push(format!("{ctx}: never fail-stopped on a dead device"));
     }
@@ -290,7 +233,7 @@ fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
         failures.push(e);
     }
-    finish_report::<T>(esys, "failstop", failures)
+    finish_report::<T>(&esys, "failstop", failures)
 }
 
 fn finish_report<T: SweepTarget>(
@@ -326,7 +269,7 @@ fn transient_faults(seed: u64) -> Arc<DeviceFaults> {
 
 /// All three scenarios for one structure family.
 pub fn sweep_runtime<T: SweepTarget>(seed: u64) -> Vec<RuntimeReport> {
-    let cfg = SweepConfig::quick(seed);
+    let cfg = scenario_config(seed);
     vec![
         run_transient::<T>(&cfg, transient_faults(seed)),
         run_degrade::<T>(&cfg),
@@ -349,10 +292,8 @@ mod tests {
 
     #[test]
     fn transient_schedule_is_deterministic() {
-        let a =
-            run_transient::<PhtmVeb>(&SweepConfig::quick(0xD15EA5E), transient_faults(0xD15EA5E));
-        let b =
-            run_transient::<PhtmVeb>(&SweepConfig::quick(0xD15EA5E), transient_faults(0xD15EA5E));
+        let a = run_transient::<PhtmVeb>(&scenario_config(0xD15EA5E), transient_faults(0xD15EA5E));
+        let b = run_transient::<PhtmVeb>(&scenario_config(0xD15EA5E), transient_faults(0xD15EA5E));
         assert_eq!(
             a.persist_retries, b.persist_retries,
             "same seed, same retries"
@@ -362,7 +303,7 @@ mod tests {
 
     #[test]
     fn degrade_scenario_holds_for_skiplist() {
-        let r = run_degrade::<BdlSkiplist>(&SweepConfig::quick(0xBD15EED));
+        let r = run_degrade::<BdlSkiplist>(&scenario_config(0xBD15EED));
         assert!(r.passed(), "{:?}", r.failures);
         assert_eq!(r.final_health, "degraded");
         assert_eq!(r.degradations, 1);
@@ -370,7 +311,7 @@ mod tests {
 
     #[test]
     fn failstop_scenario_holds_for_hashtable() {
-        let r = run_failstop::<BdSpash>(&SweepConfig::quick(0xBD15EED));
+        let r = run_failstop::<BdSpash>(&scenario_config(0xBD15EED));
         assert!(r.passed(), "{:?}", r.failures);
         assert_eq!(r.final_health, "failed");
     }

@@ -18,7 +18,7 @@
 //!    recovered frontier `R` (single-threaded histories make the
 //!    durable prefix exact, not merely bounded).
 //!
-//! Two adversarial twists, both seeded and reproducible:
+//! Three adversarial twists, all seeded and reproducible:
 //!
 //! * **Torn writes** ([`SweepConfig::torn`]): at the crash instant a
 //!   random subset of dirty *words* drains to media — cache lines race
@@ -28,20 +28,32 @@
 //!   is crashed at a seeded point of *its own* enumerated schedule, and
 //!   the second recovery must still produce the same durable prefix —
 //!   the idempotent-recovery contract.
+//! * **Pipelined** ([`SweepConfig::pipelined`]): the run holds a
+//!   [`Runtime::manual`], so `advance` only seals batches and the driver
+//!   writes them back with [`Role::Persist`] steps on a seeded cadence
+//!   that lets batches linger in flight. Crashes then land in the seal →
+//!   persist → frontier-publish window with the clock several epochs past
+//!   the frontier; recovery must key off the frontier, never off
+//!   `clock − 2`. Every step runs on the driving thread, so the
+//!   count→replay protocol carries over unchanged.
+//!
+//! [`mod@crate::runtime`] drives the same setup and workload with device
+//! faults instead of crashes.
 //!
 //! The same [`SweepConfig`] (in particular the same `seed`, usually
 //! from the `FAULT_SEED` environment variable) produces the same
 //! workload, the same crash-point schedule, and the same verdicts.
 
 use bdhtm_core::obs::{EventKind, FlightEvent};
-use bdhtm_core::{EpochConfig, EpochSys};
+use bdhtm_core::{EpochConfig, EpochSys, HealthState, Role, Runtime};
 use hashtable::BdSpash;
 use htm_sim::{Htm, HtmConfig, SplitMix64};
-use nvm_sim::{CrashImage, CrashPointKind, CrashTriggered, FaultPlan, NvmConfig, NvmHeap};
+use nvm_sim::{CrashImage, CrashTriggered, FaultPlan, NvmConfig, NvmHeap};
 use skiplist::BdlSkiplist;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
 use veb::PhtmVeb;
 
 /// Universe bits bounding every target's key space so all structures
@@ -92,6 +104,10 @@ pub struct SweepConfig {
     pub torn: bool,
     /// Also crash recovery at a seeded point and re-recover.
     pub double_crash: bool,
+    /// Hold a hand-stepped [`Runtime`]: advances only seal batches and a
+    /// seeded drain cadence writes them back, so crashes land while
+    /// batches are in flight.
+    pub pipelined: bool,
     /// Replay at most this many crash points, evenly strided over the
     /// schedule (0 = replay every point).
     pub max_replays: u64,
@@ -114,6 +130,7 @@ impl SweepConfig {
             evict_lines: 3,
             torn: false,
             double_crash: false,
+            pipelined: false,
             max_replays: 0,
             heap_bytes: 8 << 20,
             htm: HtmConfig::for_tests(),
@@ -127,6 +144,11 @@ impl SweepConfig {
 
     pub fn with_double_crash(mut self) -> Self {
         self.double_crash = true;
+        self
+    }
+
+    pub fn with_pipelined(mut self) -> Self {
+        self.pipelined = true;
         self
     }
 
@@ -206,23 +228,53 @@ pub fn silence_crash_panics() {
     });
 }
 
-fn setup<T: SweepTarget>(cfg: &SweepConfig) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
+/// Pipeline depth of the hand-stepped runtime. The drain cadence in
+/// [`run_workload`] keeps at most three batches in flight, so the depth
+/// is never hit and `advance` never waits on a step nobody takes.
+const DRIVER_DEPTH: usize = 4;
+
+/// Formats a fresh heap and epoch system under `econf` and builds the
+/// target on it. A pipelined config also gets the hand-stepped
+/// [`Runtime`] (attached before the target is built, so every persist
+/// after formatting goes through its steps).
+pub(crate) fn setup<T: SweepTarget>(
+    cfg: &SweepConfig,
+    econf: EpochConfig,
+) -> (Arc<NvmHeap>, Arc<EpochSys>, Option<Runtime>, T) {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
-    let esys = EpochSys::format(Arc::clone(&heap), EpochConfig::manual());
+    let econf = if cfg.pipelined {
+        econf.with_pipeline_depth(DRIVER_DEPTH)
+    } else {
+        econf
+    };
+    let esys = EpochSys::format(Arc::clone(&heap), econf);
+    let rt = cfg.pipelined.then(|| Runtime::manual(Arc::clone(&esys)));
     let t = T::new(Arc::clone(&esys), Arc::new(Htm::new(cfg.htm.clone())));
-    (heap, esys, t)
+    (heap, esys, rt, t)
 }
 
 /// The seeded mixed workload. Logs every mutation with the epoch it ran
 /// in; the log is the ground truth the prefix oracle folds over.
-fn run_workload<T: SweepTarget>(
+///
+/// With a runtime, a seeded drain cadence persists the sealed batches,
+/// and the run ends by sealing the tail epochs and draining everything,
+/// as a clean shutdown would. Returns `false` as soon as the system
+/// fail-stops (health is checked between operations, so a
+/// single-threaded run never trips the `begin_op` rejection panic).
+pub(crate) fn run_workload<T: SweepTarget>(
     t: &T,
     esys: &EpochSys,
+    rt: Option<&Runtime>,
     cfg: &SweepConfig,
     log: &mut Vec<(u64, Mutation)>,
-) {
+) -> bool {
     let mut rng = SplitMix64::new(cfg.seed);
+    let mut drain_rng = SplitMix64::new(cfg.seed ^ 0xD7_A14B_A7C4_5EED);
+    let mut deferred = false;
     for i in 0..cfg.ops {
+        if esys.health() == HealthState::Failed {
+            return false;
+        }
         if cfg.evict_every != 0 && i % cfg.evict_every == cfg.evict_every - 1 {
             esys.heap()
                 .evict_random_lines(cfg.evict_lines, rng.next_u64());
@@ -245,7 +297,33 @@ fn run_workload<T: SweepTarget>(
         if i % cfg.advance_every == cfg.advance_every - 1 {
             esys.advance();
         }
+        // Drain half a period after each seal (the manual runtime is the
+        // only persist worker, so one step writes one whole batch; a
+        // no-op once the system degrades or fails). Occasionally defer a
+        // batch for a whole period (bounded at one deferral, so in-flight
+        // stays below DRIVER_DEPTH): the next drain then writes back two
+        // batches in a row, and crash points fall both while the
+        // frontier trails by one epoch and while it trails by several.
+        if let Some(rt) = rt.filter(|_| i % cfg.advance_every == cfg.advance_every / 2) {
+            if !deferred && drain_rng.next_below(2) == 0 {
+                deferred = true;
+            } else {
+                rt.step(Role::Persist, Instant::now());
+                if deferred {
+                    rt.step(Role::Persist, Instant::now());
+                    deferred = false;
+                }
+            }
+        }
     }
+    if let Some(rt) = rt {
+        if esys.health() == HealthState::Failed {
+            return false;
+        }
+        esys.advance();
+        rt.drain();
+    }
+    esys.health() != HealthState::Failed
 }
 
 /// Folds the logged history up to (and including) epoch `frontier`: the
@@ -270,11 +348,11 @@ pub(crate) fn durable_prefix(log: &[(u64, Mutation)], frontier: u64) -> BTreeMap
 
 /// Counts the workload's crash points without crashing.
 pub fn enumerate_points<T: SweepTarget>(cfg: &SweepConfig) -> u64 {
-    let (heap, esys, t) = setup::<T>(cfg);
+    let (heap, esys, rt, t) = setup::<T>(cfg, EpochConfig::manual());
     let plan = Arc::new(FaultPlan::count());
     heap.arm_fault_plan(Arc::clone(&plan));
     let mut log = Vec::new();
-    run_workload(&t, &esys, cfg, &mut log);
+    run_workload(&t, &esys, rt.as_ref(), cfg, &mut log);
     heap.disarm_fault_plan();
     plan.points()
 }
@@ -292,20 +370,21 @@ fn crash_at<T: SweepTarget>(
     cfg: &SweepConfig,
     point: u64,
 ) -> (CrashImage, Vec<(u64, Mutation)>, bool, Vec<FlightEvent>) {
-    let (heap, esys, t) = setup::<T>(cfg);
+    let (heap, esys, rt, t) = setup::<T>(cfg, EpochConfig::manual());
     let mut plan = FaultPlan::crash_at(point);
     if cfg.torn {
-        plan = plan.with_torn_writes(cfg.seed ^ point.rotate_left(17));
+        let salt = point.rotate_left(if cfg.pipelined { 23 } else { 17 });
+        plan = plan.with_torn_writes(cfg.seed ^ salt);
     }
     let plan = Arc::new(plan);
     heap.arm_fault_plan(Arc::clone(&plan));
     let mut log = Vec::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_workload(&t, &esys, cfg, &mut log);
+        run_workload(&t, &esys, rt.as_ref(), cfg, &mut log)
     }));
     heap.disarm_fault_plan();
     match outcome {
-        Ok(()) => {
+        Ok(_) => {
             let dump = dump_events(&esys);
             (heap.crash(), log, false, dump)
         }
@@ -316,24 +395,12 @@ fn crash_at<T: SweepTarget>(
             // Record the fault into the crashed run's flight recorder so
             // the postmortem dump shows it in sequence with the lifecycle
             // events that led up to it.
-            esys.obs().event(
-                EventKind::FaultInjected,
-                crash.point,
-                crash_kind_code(crash.kind),
-            );
+            esys.obs()
+                .event(EventKind::FaultInjected, crash.point, crash.kind.code());
             let dump = dump_events(&esys);
             let img = plan.take_image().expect("fired plan must capture an image");
             (img, log, true, dump)
         }
-    }
-}
-
-fn crash_kind_code(kind: CrashPointKind) -> u64 {
-    match kind {
-        CrashPointKind::Clwb => 0,
-        CrashPointKind::Fence => 1,
-        CrashPointKind::FormatLine => 2,
-        CrashPointKind::EvictLine => 3,
     }
 }
 
@@ -455,8 +522,9 @@ pub fn replay_with_dump<T: SweepTarget>(
         img
     };
     let ctx = format!(
-        "{} point {point}{}{}",
+        "{} {}point {point}{}{}",
         T::NAME,
+        if cfg.pipelined { "pipelined " } else { "" },
         if cfg.torn { " (torn)" } else { "" },
         if double_crashed {
             " (double crash)"
@@ -546,34 +614,34 @@ pub fn digest_reports(reports: &[SweepReport]) -> u64 {
     h
 }
 
+/// The CI-sized plain and torn-write sweeps of every structure family,
+/// folded with [`digest_reports`].
+fn pinned_fold(cfg: SweepConfig) -> u64 {
+    let cfg = SweepConfig {
+        ops: 160,
+        max_replays: 25,
+        ..cfg
+    };
+    let mut reports = sweep_all(&cfg);
+    reports.extend(sweep_all(&cfg.with_torn_writes()));
+    digest_reports(&reports)
+}
+
 /// The behavior-preservation digest: a plain and a torn-write sweep of
 /// every structure family at a fixed, CI-sized configuration, folded
 /// with [`digest_reports`]. The value is a function of the persist
 /// schedule alone, so refactors that claim to preserve the operation
 /// lifecycle can assert the digest is bit-identical before and after.
 pub fn pinned_digest(seed: u64) -> u64 {
-    let mut cfg = SweepConfig::quick(seed);
-    cfg.ops = 160;
-    cfg.max_replays = 25;
-    let mut reports = sweep_all(&cfg);
-    reports.extend(sweep_all(&cfg.clone().with_torn_writes()));
-    digest_reports(&reports)
+    pinned_fold(SweepConfig::quick(seed))
 }
 
-/// The pipelined counterpart of [`pinned_digest`]: the plain and
-/// torn-write *pipelined* sweeps ([`mod@crate::pipeline`]) of every
-/// structure family, at the same configuration, folded the same way.
-/// It pins the hand-driven seal → persist → frontier-publish schedule,
-/// which the synchronous sweeps never cross.
+/// The pipelined counterpart of [`pinned_digest`]: the same fold over
+/// the [`SweepConfig::pipelined`] sweeps. It pins the hand-stepped
+/// seal → persist → frontier-publish schedule, which the synchronous
+/// sweeps never cross.
 pub fn pinned_pipelined_digest(seed: u64) -> u64 {
-    let mut cfg = SweepConfig::quick(seed);
-    cfg.ops = 160;
-    cfg.max_replays = 25;
-    let mut reports = crate::pipeline::sweep_all_pipelined(&cfg);
-    reports.extend(crate::pipeline::sweep_all_pipelined(
-        &cfg.clone().with_torn_writes(),
-    ));
-    digest_reports(&reports)
+    pinned_fold(SweepConfig::quick(seed).with_pipelined())
 }
 
 #[cfg(test)]
@@ -582,47 +650,70 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let cfg = SweepConfig::quick(0xFA_57EED);
-        let a = enumerate_points::<PhtmVeb>(&cfg);
-        let b = enumerate_points::<PhtmVeb>(&cfg);
-        assert_eq!(a, b, "identical seed must enumerate identical points");
-        let other = enumerate_points::<PhtmVeb>(&SweepConfig::quick(0xFA_57EED + 1));
-        assert_ne!(a, other, "different seeds should shift the schedule");
+        for cfg in [
+            SweepConfig::quick(0xFA_57EED),
+            SweepConfig::quick(0xBA7C4).with_pipelined(),
+        ] {
+            let a = enumerate_points::<PhtmVeb>(&cfg);
+            let b = enumerate_points::<PhtmVeb>(&cfg);
+            assert_eq!(a, b, "identical seed must enumerate identical points");
+            let other = SweepConfig {
+                seed: cfg.seed + 1,
+                ..cfg.clone()
+            };
+            assert_ne!(
+                a,
+                enumerate_points::<PhtmVeb>(&other),
+                "different seeds should shift the schedule"
+            );
+        }
     }
 
     #[test]
     fn workloads_enumerate_enough_points() {
-        let cfg = SweepConfig::quick(7);
-        assert!(enumerate_points::<PhtmVeb>(&cfg) >= 100);
-        assert!(enumerate_points::<BdlSkiplist>(&cfg) >= 100);
-        assert!(enumerate_points::<BdSpash>(&cfg) >= 100);
+        for cfg in [
+            SweepConfig::quick(7),
+            SweepConfig::quick(7).with_pipelined(),
+        ] {
+            assert!(enumerate_points::<PhtmVeb>(&cfg) >= 100);
+            assert!(enumerate_points::<BdlSkiplist>(&cfg) >= 100);
+            assert!(enumerate_points::<BdSpash>(&cfg) >= 100);
+        }
     }
 
     #[test]
     fn single_replay_round_trips() {
-        let cfg = SweepConfig::quick(21);
-        let v = replay::<BdSpash>(&cfg, 5).expect("replay at point 5");
-        assert!(v.fired, "an early point must fire");
+        for (cfg, point) in [
+            (SweepConfig::quick(21), 5),
+            (SweepConfig::quick(33).with_pipelined(), 3),
+        ] {
+            let v = replay::<BdSpash>(&cfg, point).expect("early-point replay");
+            assert!(v.fired, "an early point must fire");
+        }
     }
 
     #[test]
     fn crashed_run_dump_ends_with_the_injected_fault() {
         silence_crash_panics();
-        let cfg = SweepConfig::quick(21);
-        let (_img, _log, fired, dump) = crash_at::<BdSpash>(&cfg, 5);
-        assert!(fired, "an early point must fire");
-        assert!(!dump.is_empty(), "a crashed run must leave flight events");
-        assert_eq!(
-            dump.last().unwrap().kind,
-            EventKind::FaultInjected,
-            "the injected crash must be the newest event: {:?}",
-            dump.last()
-        );
-        assert!(
-            dump.iter()
-                .any(|ev| ev.kind == EventKind::OpBegin || ev.kind == EventKind::OpCommit),
-            "lifecycle events must precede the fault"
-        );
+        for cfg in [
+            SweepConfig::quick(21),
+            SweepConfig::quick(21).with_pipelined(),
+        ] {
+            let (_img, _log, fired, dump) = crash_at::<BdSpash>(&cfg, 5);
+            assert!(fired, "an early point must fire");
+            assert!(!dump.is_empty(), "a crashed run must leave flight events");
+            assert_eq!(
+                dump.last().unwrap().kind,
+                EventKind::FaultInjected,
+                "the injected crash must be the newest event: {:?}",
+                dump.last()
+            );
+            assert!(
+                dump.iter()
+                    .any(|ev| ev.kind == EventKind::OpBegin || ev.kind == EventKind::OpCommit),
+                "lifecycle events must precede the fault"
+            );
+        }
     }
 
     #[test]
@@ -640,5 +731,53 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert_eq!(s[0], 0);
         assert!(s.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn pipelined_run_develops_frontier_lag() {
+        // The driver must actually exercise the regime under test: at
+        // some instant the clock must be more than 2 epochs past the
+        // frontier (sealed batches in flight).
+        let cfg = SweepConfig::quick(0xBA7C5).with_pipelined();
+        let (_heap, esys, rt, t) = setup::<BdSpash>(&cfg, EpochConfig::manual());
+        let rt = rt.expect("a pipelined setup holds a runtime");
+        let mut rng = SplitMix64::new(cfg.seed);
+        let mut max_lag = 0;
+        for i in 0..cfg.ops {
+            let key = 1 + rng.next_below(cfg.keys);
+            t.insert(key, rng.next_u64() | 1);
+            if i % cfg.advance_every == cfg.advance_every - 1 {
+                esys.advance();
+            }
+            // Drain *two* batches every other period: seals outpace
+            // drains for a whole period (lag grows past 2), then the
+            // double drain restores balance without ever filling the
+            // depth-4 pipeline.
+            if i % (2 * cfg.advance_every) == cfg.advance_every / 2 {
+                rt.step(Role::Persist, Instant::now());
+                rt.step(Role::Persist, Instant::now());
+            }
+            max_lag = max_lag.max(esys.current_epoch() - esys.persisted_frontier());
+        }
+        rt.drain();
+        assert!(
+            max_lag > 2,
+            "driver must let the clock outrun the frontier, max lag {max_lag}"
+        );
+    }
+
+    #[test]
+    fn mid_batch_crash_recovers_to_old_frontier() {
+        // Crash points are dominated by the drains' clwb/fence traffic,
+        // so a torn mid-schedule point lands inside a batch write-back
+        // with near-certainty; sweep a stride of them.
+        let cfg = SweepConfig::quick(0x5EA1)
+            .with_pipelined()
+            .with_torn_writes();
+        let points = enumerate_points::<PhtmVeb>(&cfg);
+        for point in (0..points).step_by((points as usize / 12).max(1)) {
+            replay::<PhtmVeb>(&cfg, point)
+                .unwrap_or_else(|e| panic!("pipelined torn replay failed: {e}"));
+        }
     }
 }

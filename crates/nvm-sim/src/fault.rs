@@ -30,13 +30,41 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub enum CrashPointKind {
     /// A `clwb` line write-back (also reached via `persist_range` and
     /// `write_persist`, which are built from `clwb` + `fence`).
-    Clwb,
+    Clwb = 0,
     /// An `sfence` draining prior write-backs.
-    Fence,
+    Fence = 1,
     /// One line of a bulk `format_region` (allocator bootstrap).
-    FormatLine,
+    FormatLine = 2,
     /// One line chosen by background cache eviction.
-    EvictLine,
+    EvictLine = 3,
+}
+
+impl CrashPointKind {
+    const ALL: [CrashPointKind; 4] = [
+        CrashPointKind::Clwb,
+        CrashPointKind::Fence,
+        CrashPointKind::FormatLine,
+        CrashPointKind::EvictLine,
+    ];
+
+    /// Numeric code, as carried by a flight-recorder `FaultInjected` event.
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The kind with numeric `code`, if any.
+    pub fn from_code(code: u64) -> Option<CrashPointKind> {
+        Self::ALL.get(code as usize).copied()
+    }
+
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashPointKind::Clwb => "clwb",
+            CrashPointKind::Fence => "fence",
+            CrashPointKind::FormatLine => "format_line",
+            CrashPointKind::EvictLine => "evict_line",
+        }
+    }
 }
 
 /// Counting or crashing.
@@ -134,6 +162,14 @@ mod tests {
     use super::*;
     use crate::NvmConfig;
     use std::sync::Arc;
+
+    #[test]
+    fn crash_point_kinds_round_trip_their_codes() {
+        for kind in CrashPointKind::ALL {
+            assert_eq!(CrashPointKind::from_code(kind.code()), Some(kind));
+        }
+        assert_eq!(CrashPointKind::from_code(4), None);
+    }
 
     #[test]
     fn count_then_crash_at_each_point() {
