@@ -55,9 +55,11 @@ cargo run --release -q --example quickstart -- --metrics-json target/metrics-smo
 echo "==> durability-lag telemetry smoke (series + trace on a pipelined run)"
 # A short pipelined fig7 run streaming the metrics time series and the
 # Perfetto trace; metrics_check validates all three artifacts (report
-# invariants incl. v3 lag quantiles, dense/monotone series, balanced
-# trace flow arrows). The report must carry nonzero durability-lag
-# samples: pipelined mode always defers durability behind commit.
+# invariants incl. lag quantiles, dense/monotone series, non-negative
+# and non-overlapping op spans per track, balanced trace flow arrows).
+# The report must carry nonzero durability-lag samples and the trace
+# nonzero lag arrows: pipelined mode always defers durability behind
+# commit, and --trace-out sizes the flight recorder to cover the run.
 BDHTM_SECS=0.25 BDHTM_SCALE=12 BDHTM_THREADS=2 \
     ./target/release/fig7_epoch_length --pipeline=bg \
     --metrics-json target/lag-smoke.json \
@@ -65,12 +67,16 @@ BDHTM_SECS=0.25 BDHTM_SCALE=12 BDHTM_THREADS=2 \
     --trace-out target/lag-smoke-trace.json >/dev/null
 ./target/release/metrics_check target/lag-smoke.json
 ./target/release/metrics_check --series target/lag-smoke.jsonl
-./target/release/metrics_check --trace target/lag-smoke-trace.json
+trace_summary=$(./target/release/metrics_check --trace target/lag-smoke-trace.json)
+echo "$trace_summary"
 lag_count=$(grep -o '"durability_lag_ns":{"unit":"ns","count":[0-9]*' \
     target/lag-smoke.json | grep -o '[0-9]*$')
 [ "${lag_count:-0}" -gt 0 ] || {
     echo "pipelined run recorded no durability-lag spans"; exit 1; }
-echo "durability-lag smoke OK (${lag_count} spans)"
+arrows=$(echo "$trace_summary" | grep -o '[0-9]* lag arrows' | grep -o '^[0-9]*' || true)
+[ "${arrows:-0}" -gt 0 ] || {
+    echo "pipelined run's trace holds no durability-lag arrows"; exit 1; }
+echo "durability-lag smoke OK (${lag_count} spans, ${arrows} trace arrows)"
 
 echo "==> println! hygiene (library code logs via metrics/trace, not stdout)"
 # Benches and examples print; library crates must not (stderr via

@@ -66,7 +66,10 @@ fn main() {
         let mut vals = Vec::new();
         for &t in &threads {
             let heap = Arc::new(NvmHeap::new(cfg.clone()));
-            let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(epoch));
+            let esys = EpochSys::format(
+                heap,
+                sink.epoch_config(EpochConfig::default().with_epoch_len(epoch)),
+            );
             let htm = Arc::new(Htm::new(HtmConfig::default()));
             sink.attach_htm(&htm);
             sink.attach_esys(&esys);

@@ -73,7 +73,7 @@ fn main() {
             let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
             let esys = EpochSys::format(
                 heap,
-                EpochConfig::default().with_epoch_len(Duration::from_millis(50)),
+                sink.epoch_config(EpochConfig::default().with_epoch_len(Duration::from_millis(50))),
             );
             let htm = Arc::new(Htm::new(HtmConfig::default()));
             sink.attach_htm(&htm);

@@ -24,7 +24,7 @@ fn phtm_series(ubits: u32, w: &Workload, threads: &[usize], sink: &mut MetricsSi
         let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
         let esys = EpochSys::format(
             heap,
-            EpochConfig::default().with_epoch_len(Duration::from_millis(50)),
+            sink.epoch_config(EpochConfig::default().with_epoch_len(Duration::from_millis(50))),
         );
         let htm = Arc::new(Htm::new(HtmConfig::default()));
         sink.attach_htm(&htm);

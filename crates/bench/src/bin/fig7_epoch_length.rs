@@ -88,7 +88,10 @@ fn run_advance_gate(bg: bool, advances: u64, sink: &mut MetricsSink, ubits: u32)
     let epoch_len = Duration::from_millis(1);
     let w = WorkloadSpec::zipfian(universe, 0.99, Mix::reads(0.2)).build();
     let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-    let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(epoch_len));
+    let esys = EpochSys::format(
+        heap,
+        sink.epoch_config(EpochConfig::default().with_epoch_len(epoch_len)),
+    );
     let htm = Arc::new(Htm::new(HtmConfig::default()));
     sink.attach_htm(&htm);
     sink.attach_esys(&esys);
@@ -180,7 +183,10 @@ fn main() {
         print!("{dist_name:<16}");
         for (name, len) in &epochs {
             let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-            let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(*len));
+            let esys = EpochSys::format(
+                heap,
+                sink.epoch_config(EpochConfig::default().with_epoch_len(*len)),
+            );
             let htm = Arc::new(Htm::new(HtmConfig::default()));
             if *name == "1ms" {
                 sink.attach_htm(&htm);

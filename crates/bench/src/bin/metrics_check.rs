@@ -23,8 +23,11 @@
 //!
 //! `--trace` validates a `--trace-out` Chrome trace_event file: the
 //! document must parse, every event must carry a known phase, complete
-//! spans need durations, and durability-lag flow arrows must come in
-//! matched start/finish pairs.
+//! spans need non-negative durations, spans on one (pid, tid) track
+//! must not overlap (a thread runs one op attempt at a time, and each
+//! attempt is one span), and durability-lag flow arrows must come in
+//! matched start/finish pairs. The summary line reports the arrow
+//! count, which ci.sh requires to be nonzero.
 //!
 //! `--compare-pipeline` validates two reports from the same workload —
 //! one with synchronous (inline) epoch persistence, one with the
@@ -38,6 +41,7 @@
 //! `--out` path.
 
 use bdhtm_core::obs::{JsonValue, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION};
+use std::collections::HashMap;
 
 fn fail(msg: &str) -> ! {
     eprintln!("metrics_check: {msg}");
@@ -270,6 +274,10 @@ fn check_trace(path: &str) {
     if events.is_empty() {
         fail("trace has no events");
     }
+    // Fractional-µs timestamps back to integer ns, so abutting spans
+    // compare exactly.
+    let ns = |us: f64| (us * 1000.0).round() as i64;
+    let mut tracks: HashMap<(u64, u64), Vec<(i64, i64)>> = HashMap::new();
     let mut spans = 0u64;
     let mut instants = 0u64;
     let mut flow_starts = 0u64;
@@ -281,9 +289,19 @@ fn check_trace(path: &str) {
         match ph {
             "X" => {
                 spans += 1;
-                if req(e, "dur").as_f64().is_none() {
-                    fail(&format!("event {i}: complete span without a duration"));
+                let dur = req(e, "dur").as_f64().unwrap_or_else(|| {
+                    fail(&format!("event {i}: complete span without a duration"))
+                });
+                if dur < 0.0 {
+                    fail(&format!("event {i}: span duration {dur} is negative"));
                 }
+                let ts = req(e, "ts")
+                    .as_f64()
+                    .unwrap_or_else(|| fail(&format!("event {i}: missing timestamp")));
+                tracks
+                    .entry((req_u64(e, "pid"), req_u64(e, "tid")))
+                    .or_default()
+                    .push((ns(ts), ns(dur)));
             }
             "i" => instants += 1,
             "s" => flow_starts += 1,
@@ -309,6 +327,18 @@ fn check_trace(path: &str) {
         fail(&format!(
             "durability-lag arrows unbalanced: {flow_starts} starts, {flow_finishes} finishes"
         ));
+    }
+    for ((pid, tid), mut track) in tracks {
+        track.sort_unstable();
+        for w in track.windows(2) {
+            let ((t0, d0), (t1, _)) = (w[0], w[1]);
+            if t1 < t0 + d0 {
+                fail(&format!(
+                    "track pid {pid} tid {tid}: span at {t1} ns starts inside the span \
+                     {t0}+{d0} ns"
+                ));
+            }
+        }
     }
     let meta = req(&doc, "metadata");
     let dropped = req_u64(meta, "events_dropped");

@@ -66,7 +66,8 @@ fn main() {
         for threads in [1usize, par] {
             let heap2 = Arc::new(NvmHeap::from_image(image.duplicate()));
             let t0 = Instant::now();
-            let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), threads);
+            let (esys2, live) =
+                EpochSys::recover(heap2, sink.epoch_config(EpochConfig::default()), threads);
             let scan = t0.elapsed();
             let htm2 = Arc::new(Htm::new(HtmConfig::default()));
             sink.attach_htm(&htm2);

@@ -50,7 +50,7 @@ fn main() {
     // PHTM-vEB: DRAM index + NVM KV blocks (with buffered duplicates).
     {
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
-        let esys = EpochSys::format(heap, EpochConfig::default());
+        let esys = EpochSys::format(heap, sink.epoch_config(EpochConfig::default()));
         let htm = Arc::new(Htm::new(HtmConfig::default()));
         sink.attach_htm(&htm);
         sink.attach_esys(&esys);

@@ -106,6 +106,14 @@ pub fn throughput(backend: Arc<dyn KvBackend>, workload: &Workload, threads: usi
     ops.load(Ordering::Relaxed) as f64 / t0.elapsed().as_secs_f64() / 1e6
 }
 
+/// Flight-recorder events per thread in `--trace-out` runs. The default
+/// ring keeps only each thread's last instants, so a trace of a figure
+/// run would hold almost no durability-lag arrows (an arrow needs both
+/// an epoch's last commit and its frontier publish); this many slots
+/// cover a figure data point's whole window at 6 MiB per recording
+/// thread.
+pub const TRACE_FLIGHT_SLOTS: usize = 1 << 17;
+
 /// Shared observability-output handling for the figure binaries (see
 /// [`cli::CommonArgs`] for the flags).
 ///
@@ -121,7 +129,9 @@ pub fn throughput(backend: Arc<dyn KvBackend>, workload: &Workload, threads: usi
 /// the stream always covers every attached source; the line sequence
 /// number and timestamp origin are shared across restarts, keeping the
 /// stream monotone. With `--trace-out`, [`write`](Self::write) exports
-/// the attached epoch system's flight recorder as a Perfetto trace.
+/// the attached epoch system's flight recorder as a Perfetto trace;
+/// build that system from [`epoch_config`](Self::epoch_config) so the
+/// recorder is large enough to cover the run.
 #[derive(Default)]
 pub struct MetricsSink {
     metrics_json: Option<String>,
@@ -173,6 +183,17 @@ impl MetricsSink {
             esys: None,
             series,
             sampler: None,
+        }
+    }
+
+    /// `cfg` for an epoch system this sink may attach: with
+    /// `--trace-out`, its flight recorder keeps [`TRACE_FLIGHT_SLOTS`]
+    /// events per thread so the exported trace covers the whole run;
+    /// otherwise `cfg` unchanged.
+    pub fn epoch_config(&self, cfg: bdhtm_core::EpochConfig) -> bdhtm_core::EpochConfig {
+        match self.trace_out {
+            Some(_) => cfg.with_flight_slots(TRACE_FLIGHT_SLOTS),
+            None => cfg,
         }
     }
 

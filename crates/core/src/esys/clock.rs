@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use super::facade::EpochSys;
-use super::health::AdvanceFault;
 use super::pipeline::EpochBatch;
 
 /// First active epoch of a freshly formatted system. Starting at 2 keeps
@@ -42,10 +41,6 @@ pub const EPOCH_START: u64 = 2;
 
 /// Announcement-array value meaning "no operation in progress".
 pub const EMPTY_EPOCH: u64 = u64::MAX;
-
-/// Extra attempts [`EpochSys::advance`] makes when a transition fails
-/// (injected faults); each failed attempt yields before retrying.
-const ADVANCE_RETRIES: u32 = 3;
 
 /// The epoch clock, the volatile frontier mirror, and the announce
 /// array — all the state the registration handshake touches, in one
@@ -334,29 +329,6 @@ impl EpochSys {
     /// (an [`EpochTicker`](crate::EpochTicker));
     /// callable directly for tests and deterministic experiments.
     ///
-    /// Retries up to `ADVANCE_RETRIES` (3) times when a transition fails
-    /// (injected epoch-system faults), yielding between attempts; gives
-    /// up silently after the budget — the next tick (or backpressured
-    /// [`begin_op`](EpochSys::begin_op)) tries again, so a transiently
-    /// stalled ticker degrades throughput without losing correctness.
-    pub fn advance(&self) {
-        if self.is_disabled() {
-            return;
-        }
-        let mut attempt = 0;
-        while self.try_advance().is_err() {
-            attempt += 1;
-            if attempt > ADVANCE_RETRIES {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// One epoch-transition attempt. Fails (without moving any state)
-    /// when an injected fault is armed; see
-    /// [`inject_advance_failures`](EpochSys::inject_advance_failures).
-    ///
     /// The foreground half is deliberately cheap: quiesce epoch `e−1`,
     /// take ownership of its arena buffers (plain `mem::take`s — the
     /// quiesce guarantees exclusion, no per-thread lock exists), seal
@@ -367,17 +339,11 @@ impl EpochSys {
     /// steps write it back, publish the frontier, and reclaim. Without
     /// one (or once health is `Degraded`), the same persist steps drain
     /// it inline before the clock bump — the synchronous behavior.
-    pub fn try_advance(&self) -> Result<(), AdvanceFault> {
+    pub fn advance(&self) {
         if self.is_disabled() {
-            return Ok(());
+            return;
         }
         let _g = self.advance_lock.lock();
-        if self.faults.fire() {
-            self.stats()
-                .advance_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(AdvanceFault::Injected);
-        }
         let t0 = std::time::Instant::now();
         let e = self.clock.current();
 
@@ -434,7 +400,6 @@ impl EpochSys {
         self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
         self.obs()
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
-        Ok(())
     }
 }
 

@@ -72,7 +72,7 @@ pub struct EpochSys {
     config: EpochConfig,
     stats: EpochStats,
     obs: Obs,
-    /// Injected-fault state (advance failures, backoff jitter).
+    /// Seeded persist-retry backoff jitter.
     pub(super) faults: FaultInjector,
     /// Runtime health ladder (`HealthState` code): a one-way ratchet
     /// `Ok → Degraded → Failed` advanced only by

@@ -1,7 +1,7 @@
-//! Runtime health and fault machinery: the activity counters every
-//! layer reports into, the one-way `Ok → Degraded → Failed` ladder
-//! (§5 runtime faults — graceful degradation instead of wedging), and
-//! the seeded fault injectors the sweep drivers arm.
+//! Runtime health machinery: the activity counters every layer reports
+//! into, the one-way `Ok → Degraded → Failed` ladder (§5 runtime faults
+//! — graceful degradation instead of wedging), and the seeded jitter
+//! stream of persist retries.
 //!
 //! Ordering notes: the health code is ratcheted with a SeqCst CAS loop
 //! (transitions are rare and must be totally ordered against the
@@ -24,7 +24,6 @@ pub struct EpochStats {
     pub(crate) blocks_persisted: AtomicU64,
     pub(crate) words_persisted: AtomicU64,
     pub(crate) blocks_reclaimed: AtomicU64,
-    pub(crate) advance_failures: AtomicU64,
     pub(crate) backpressure_advances: AtomicU64,
     pub(crate) pipeline_stalls: AtomicU64,
     pub(crate) persist_retries: AtomicU64,
@@ -41,7 +40,6 @@ impl EpochStats {
             blocks_persisted: self.blocks_persisted.load(Ordering::Relaxed),
             words_persisted: self.words_persisted.load(Ordering::Relaxed),
             blocks_reclaimed: self.blocks_reclaimed.load(Ordering::Relaxed),
-            advance_failures: self.advance_failures.load(Ordering::Relaxed),
             backpressure_advances: self.backpressure_advances.load(Ordering::Relaxed),
             pipeline_stalls: self.pipeline_stalls.load(Ordering::Relaxed),
             persist_retries: self.persist_retries.load(Ordering::Relaxed),
@@ -57,7 +55,6 @@ impl EpochStats {
         self.blocks_persisted.store(0, Ordering::Relaxed);
         self.words_persisted.store(0, Ordering::Relaxed);
         self.blocks_reclaimed.store(0, Ordering::Relaxed);
-        self.advance_failures.store(0, Ordering::Relaxed);
         self.backpressure_advances.store(0, Ordering::Relaxed);
         self.pipeline_stalls.store(0, Ordering::Relaxed);
         self.persist_retries.store(0, Ordering::Relaxed);
@@ -79,8 +76,6 @@ pub struct EpochStatsSnapshot {
     pub words_persisted: u64,
     /// Retired blocks physically reclaimed.
     pub blocks_reclaimed: u64,
-    /// Advance attempts that failed (injected epoch-system faults).
-    pub advance_failures: u64,
     /// Epoch advances initiated by [`EpochSys::begin_op`] backpressure
     /// (buffered set over `EpochConfig::max_buffered_words`).
     pub backpressure_advances: u64,
@@ -111,7 +106,6 @@ impl EpochStatsSnapshot {
             blocks_persisted: self.blocks_persisted.saturating_sub(e.blocks_persisted),
             words_persisted: self.words_persisted.saturating_sub(e.words_persisted),
             blocks_reclaimed: self.blocks_reclaimed.saturating_sub(e.blocks_reclaimed),
-            advance_failures: self.advance_failures.saturating_sub(e.advance_failures),
             backpressure_advances: self
                 .backpressure_advances
                 .saturating_sub(e.backpressure_advances),
@@ -124,27 +118,8 @@ impl EpochStatsSnapshot {
     }
 }
 
-/// Why an epoch transition did not happen (see
-/// [`EpochSys::try_advance`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AdvanceFault {
-    /// An injected failure, armed via
-    /// [`EpochSys::inject_advance_failures`] or
-    /// [`EpochSys::inject_advance_failure_rate`] — models the ticker
-    /// thread stalling or dying mid-transition before any state moved.
-    Injected,
-}
-
-/// The seeded fault knobs the sweep drivers arm: counted and
-/// probabilistic advance failures, plus the backoff-jitter stream.
+/// Seeded randomness of the epoch system's retry paths.
 pub(super) struct FaultInjector {
-    /// How many upcoming advance attempts fail.
-    fail_next: AtomicU64,
-    /// Failure probability as `f64` bits (0 = disabled) drawn against
-    /// the seeded stream below.
-    fail_prob_bits: AtomicU64,
-    /// SplitMix64 state of the seeded advance-failure stream.
-    rng: AtomicU64,
     /// SplitMix64 state for persist-retry backoff jitter (fixed seed:
     /// jitter only decorrelates contending persisters, it carries no
     /// experiment semantics).
@@ -154,43 +129,7 @@ pub(super) struct FaultInjector {
 impl FaultInjector {
     pub(super) fn new() -> Self {
         Self {
-            fail_next: AtomicU64::new(0),
-            fail_prob_bits: AtomicU64::new(0),
-            rng: AtomicU64::new(0),
             backoff_rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
-        }
-    }
-
-    /// Consumes one injected failure, if armed.
-    pub(super) fn fire(&self) -> bool {
-        if self
-            .fail_next
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return true;
-        }
-        let bits = self.fail_prob_bits.load(Ordering::Relaxed);
-        if bits == 0 {
-            return false;
-        }
-        let prob = f64::from_bits(bits);
-        // Advance the seeded stream by CAS so concurrent callers each
-        // consume a distinct draw and replays stay deterministic.
-        let mut cur = self.rng.load(Ordering::Relaxed);
-        loop {
-            let mut next = cur;
-            let draw = htm_sim::rng::splitmix64(&mut next);
-            match self
-                .rng
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    let u = (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    return u < prob;
-                }
-                Err(c) => cur = c,
-            }
         }
     }
 
@@ -263,86 +202,16 @@ impl EpochSys {
         );
         self.pipeline.changed.notify_all();
     }
-
-    // ----- epoch-system fault injection -----------------------------------
-
-    /// Arms the fault injector: the next `n` advance attempts fail with
-    /// [`AdvanceFault::Injected`] before touching any epoch state. Models
-    /// a stalled or killed persistence ticker.
-    pub fn inject_advance_failures(&self, n: u64) {
-        self.faults.fail_next.store(n, Ordering::SeqCst);
-    }
-
-    /// Arms seeded probabilistic advance failures: each attempt fails
-    /// with probability `prob`, drawn from a SplitMix64 stream seeded
-    /// with `seed` — the same seed replays the same failure schedule.
-    /// `prob = 0.0` disables the probabilistic injector.
-    pub fn inject_advance_failure_rate(&self, seed: u64, prob: f64) {
-        assert!((0.0..=1.0).contains(&prob), "probability out of range");
-        self.faults.rng.store(seed, Ordering::SeqCst);
-        self.faults
-            .fail_prob_bits
-            .store(prob.to_bits(), Ordering::SeqCst);
-    }
-
-    /// Disarms every injected epoch-system fault.
-    pub fn clear_advance_faults(&self) {
-        self.faults.fail_next.store(0, Ordering::SeqCst);
-        self.faults.fail_prob_bits.store(0, Ordering::SeqCst);
-        self.faults.rng.store(0, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::fresh;
     use super::super::Persisted;
-    use super::*;
     use crate::config::EpochConfig;
     use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
     use persist_alloc::Header;
     use std::sync::Arc;
-
-    #[test]
-    fn injected_advance_failures_then_retry_succeeds() {
-        let es = fresh();
-        let e0 = es.current_epoch();
-        es.inject_advance_failures(2);
-        assert_eq!(es.try_advance(), Err(AdvanceFault::Injected));
-        assert_eq!(es.try_advance(), Err(AdvanceFault::Injected));
-        assert_eq!(es.current_epoch(), e0, "failed attempts move no state");
-        assert_eq!(es.try_advance(), Ok(()));
-        assert_eq!(es.current_epoch(), e0 + 1);
-        assert_eq!(es.stats().snapshot().advance_failures, 2);
-
-        // advance() absorbs a burst shorter than its retry budget.
-        es.inject_advance_failures(2); // ADVANCE_RETRIES = 3
-        es.advance();
-        assert_eq!(es.current_epoch(), e0 + 2);
-
-        // ... but gives up (without hanging) on a longer one.
-        es.inject_advance_failures(100);
-        es.advance();
-        assert_eq!(es.current_epoch(), e0 + 2, "budget exhausted: no advance");
-        es.clear_advance_faults();
-        es.advance();
-        assert_eq!(es.current_epoch(), e0 + 3);
-    }
-
-    #[test]
-    fn seeded_advance_failure_rate_is_deterministic() {
-        let pattern = |seed: u64| {
-            let es = fresh();
-            es.inject_advance_failure_rate(seed, 0.5);
-            (0..64)
-                .map(|_| es.try_advance().is_err())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(pattern(7), pattern(7), "same seed, same schedule");
-        assert_ne!(pattern(7), pattern(8), "different seeds diverge");
-        let p = pattern(7);
-        assert!(p.contains(&true) && p.contains(&false));
-    }
 
     /// The degradation ladder, end to end: a batch exhausting its retry
     /// budget ratchets `Ok → Degraded` (durable prefix untouched, typed

@@ -31,7 +31,7 @@ mod tracking;
 pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
-pub use health::{AdvanceFault, EpochStats, EpochStatsSnapshot};
+pub use health::{EpochStats, EpochStatsSnapshot};
 pub(crate) use pipeline::Persisted;
 pub use tracking::{payload, PreallocSlots};
 

@@ -596,7 +596,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// With a persist worker attached, `try_advance` performs no
+    /// With a persist worker attached, `advance` performs no
     /// `persist_range` on the calling thread — it seals, enqueues, and
     /// bumps the clock; write-back and the frontier publish happen in
     /// persist steps.

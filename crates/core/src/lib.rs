@@ -92,8 +92,8 @@ pub mod watchdog;
 pub use config::{EpochConfig, MAX_PERSIST_WORKERS};
 pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
-    payload, AdvanceFault, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind,
-    EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
+    payload, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind, EMPTY_EPOCH,
+    EPOCH_START, OLD_SEE_NEW,
 };
 pub use kv::{BdlKv, KV_UNIVERSE_BITS};
 pub use obs::{

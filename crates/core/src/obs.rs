@@ -11,9 +11,15 @@
 //! * [`Obs`] — per-`EpochSys` instrumentation: log₂ latency histograms
 //!   (op latency, restarts per op, advance duration, persist batch
 //!   size) and a lock-free per-thread ring buffer of lifecycle events.
-//!   Everything on the hot path costs only relaxed per-thread writes,
-//!   so the pinned fault-sweep digest and bench throughput are
-//!   unaffected.
+//!   Each op attempt is one ring record (a span); on commit the same
+//!   clock read also feeds the durability-lag stamp and the op
+//!   histograms. Everything on the hot path costs only relaxed
+//!   per-thread writes, so the pinned fault-sweep digest and bench
+//!   throughput are unaffected.
+//! * [`FlightEvent::decode`] — the one decoder of an event's payload
+//!   into its trace track and named fields, shared by the postmortem
+//!   dump ([`FlightEvent::render`]) and the Perfetto exporter
+//!   ([`crate::trace`]).
 //! * [`MetricsRegistry`] / [`MetricsReport`] — one snapshot call that
 //!   folds HTM, NVM, epoch, allocator, and histogram data into a
 //!   stable, versioned JSON document (hand-written writer, no serde).
@@ -25,6 +31,7 @@ use crate::esys::{EpochStatsSnapshot, EpochSys};
 use htm_sim::{max_threads, thread_id, HistSnapshot, Htm, LogHistogram, StatsSnapshot};
 use nvm_sim::{CrashPointKind, NvmHeap, NvmStatsSnapshot};
 use persist_alloc::AllocStats;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -42,11 +49,11 @@ use std::time::Instant;
 pub const RING_SLOTS: usize = 64;
 
 /// Lifecycle event vocabulary (see DESIGN.md §6 for payload meanings).
+/// The three op kinds each close one op-attempt span that started at
+/// [`FlightEvent::t0_ns`]; every other kind is an instant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u64)]
 pub enum EventKind {
-    /// An operation registered: `a` = epoch.
-    OpBegin = 0,
     /// An operation attempt aborted its registration: `a` = epoch,
     /// `b` = abort tag ([`ABORT_RESTART`], `1 + explicit code`, or
     /// [`ABORT_UNWIND`]).
@@ -92,23 +99,24 @@ pub const ABORT_RESTART: u64 = 0;
 pub const ABORT_UNWIND: u64 = u64::MAX;
 
 impl EventKind {
+    /// Every kind, in code order.
+    pub const ALL: [EventKind; 12] = [
+        EventKind::OpAbort,
+        EventKind::OpCommit,
+        EventKind::EpochAdvance,
+        EventKind::Backpressure,
+        EventKind::FaultInjected,
+        EventKind::BatchSealed,
+        EventKind::BatchPersisted,
+        EventKind::PipelineStall,
+        EventKind::PersistRetry,
+        EventKind::DegradedToSync,
+        EventKind::WatchdogFired,
+        EventKind::OpPanicked,
+    ];
+
     fn of(code: u64) -> Option<EventKind> {
-        match code {
-            0 => Some(EventKind::OpBegin),
-            1 => Some(EventKind::OpAbort),
-            2 => Some(EventKind::OpCommit),
-            3 => Some(EventKind::EpochAdvance),
-            5 => Some(EventKind::Backpressure),
-            6 => Some(EventKind::FaultInjected),
-            7 => Some(EventKind::BatchSealed),
-            8 => Some(EventKind::BatchPersisted),
-            9 => Some(EventKind::PipelineStall),
-            10 => Some(EventKind::PersistRetry),
-            11 => Some(EventKind::DegradedToSync),
-            12 => Some(EventKind::WatchdogFired),
-            13 => Some(EventKind::OpPanicked),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|&k| k as u64 == code)
     }
 }
 
@@ -116,6 +124,7 @@ struct Slot {
     /// 1-based per-thread event number; 0 = never written. Stored last
     /// (Release) so a dump that observes it sees the payload stores.
     seq: AtomicU64,
+    t0_ns: AtomicU64,
     t_ns: AtomicU64,
     kind: AtomicU64,
     a: AtomicU64,
@@ -136,6 +145,7 @@ impl Ring {
             slots: (0..capacity.max(1))
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
+                    t0_ns: AtomicU64::new(0),
                     t_ns: AtomicU64::new(0),
                     kind: AtomicU64::new(0),
                     a: AtomicU64::new(0),
@@ -158,6 +168,10 @@ impl Ring {
 /// threads of the recorder.
 #[derive(Clone, Copy, Debug)]
 pub struct FlightEvent {
+    /// Start of the span this event closes (nanoseconds since the
+    /// recorder was built): the attempt's start for the op kinds,
+    /// `t_ns` itself for instants.
+    pub t0_ns: u64,
     /// Nanoseconds since the recorder (i.e. the `EpochSys`) was built.
     pub t_ns: u64,
     /// Recording thread's dense id.
@@ -167,66 +181,91 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
+/// Where an event is drawn in an exported trace: op spans on their
+/// recording thread's own track, everything else on one of three
+/// system tracks.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Track {
+    Thread,
+    Epoch,
+    Persist,
+    Health,
+}
+
+/// One decoded payload field.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Field {
+    Num(u64),
+    Text(String),
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Num(n) => write!(f, "{n}"),
+            Field::Text(s) if s.contains(' ') => write!(f, "{s:?}"),
+            Field::Text(s) => f.write_str(s),
+        }
+    }
+}
+
 impl FlightEvent {
-    /// Human-readable one-liner for postmortem dumps.
-    pub fn render(&self) -> String {
-        let head = format!("[+{:>12}ns t{:02}] ", self.t_ns, self.tid);
-        let body = match self.kind {
-            EventKind::OpBegin => format!("OpBegin      e={}", self.a),
-            EventKind::OpAbort => {
-                let cause = match self.b {
-                    ABORT_RESTART => "restart".to_string(),
-                    ABORT_UNWIND => "unwind".to_string(),
-                    tag => {
-                        let code = tag - 1;
-                        if code == crate::esys::OLD_SEE_NEW as u64 {
-                            format!("old_see_new({code:#04x})")
-                        } else {
-                            format!("explicit({code:#04x})")
-                        }
-                    }
-                };
-                format!("OpAbort      e={} cause={}", self.a, cause)
-            }
-            EventKind::OpCommit => format!("OpCommit     e={} restarts={}", self.a, self.b),
-            EventKind::EpochAdvance => {
-                format!("EpochAdvance e={} frontier={}", self.a, self.b)
-            }
-            EventKind::Backpressure => {
-                format!("Backpressure buffered={} bound={}", self.a, self.b)
-            }
-            EventKind::FaultInjected => {
-                let kind = CrashPointKind::from_code(self.b).map_or("?", CrashPointKind::name);
-                format!("FaultInjected point={} kind={}", self.a, kind)
-            }
-            EventKind::BatchSealed => {
-                format!("BatchSealed  blocks={} words={}", self.a, self.b)
-            }
-            EventKind::BatchPersisted => {
-                format!("BatchPersisted frontier={} blocks={}", self.a, self.b)
-            }
-            EventKind::PipelineStall => {
-                format!("PipelineStall in_flight={} depth={}", self.a, self.b)
-            }
-            EventKind::PersistRetry => {
-                format!("PersistRetry e={} attempt={}", self.a, self.b)
-            }
-            EventKind::DegradedToSync => {
-                let to = HealthState::from_code(self.a.min(u8::MAX as u64) as u8).as_str();
-                if self.b == u64::MAX {
-                    format!("DegradedToSync to={to}")
-                } else {
-                    format!("DegradedToSync to={to} cause_epoch={}", self.b)
-                }
-            }
-            EventKind::WatchdogFired => {
-                format!("WatchdogFired reason={} consecutive={}", self.a, self.b)
-            }
-            EventKind::OpPanicked => {
-                format!("OpPanicked   e={} restarts={}", self.a, self.b)
-            }
+    /// The one decoder of an event's payload: its trace track and its
+    /// named fields (DESIGN.md §6), in the order both the dump line and
+    /// the trace `args` list them.
+    pub fn decode(&self) -> (Track, Vec<(&'static str, Field)>) {
+        use EventKind::*;
+        let (track, a_name, b_name) = match self.kind {
+            OpCommit | OpPanicked => (Track::Thread, "epoch", "restarts"),
+            OpAbort => (Track::Thread, "epoch", "cause"),
+            EpochAdvance => (Track::Epoch, "epoch", "frontier"),
+            BatchSealed => (Track::Epoch, "entries", "words"),
+            PipelineStall => (Track::Epoch, "in_flight", "depth"),
+            BatchPersisted => (Track::Persist, "frontier", "blocks"),
+            PersistRetry => (Track::Persist, "epoch", "attempt"),
+            Backpressure => (Track::Health, "buffered", "bound"),
+            FaultInjected => (Track::Health, "point", "kind"),
+            DegradedToSync => (Track::Health, "to", "cause_epoch"),
+            WatchdogFired => (Track::Health, "reason", "consecutive"),
         };
-        head + &body
+        let (a, b) = (Field::Num(self.a), Field::Num(self.b));
+        let text = |s: &str| Field::Text(s.to_string());
+        let (a, b) = match (self.kind, self.b) {
+            (OpAbort, ABORT_RESTART) => (a, Some(text("restart"))),
+            (OpAbort, ABORT_UNWIND) => (a, Some(text("unwind"))),
+            (OpAbort, tag) if tag - 1 == crate::esys::OLD_SEE_NEW as u64 => (
+                a,
+                Some(Field::Text(format!("old_see_new({:#04x})", tag - 1))),
+            ),
+            (OpAbort, tag) => (a, Some(Field::Text(format!("explicit({:#04x})", tag - 1)))),
+            (FaultInjected, code) => {
+                let kind = CrashPointKind::from_code(code).map_or("?", CrashPointKind::name);
+                (a, Some(text(kind)))
+            }
+            (DegradedToSync, cause) => {
+                let to = HealthState::from_code(self.a.min(u8::MAX as u64) as u8);
+                (text(to.as_str()), (cause != u64::MAX).then_some(b))
+            }
+            (WatchdogFired, _) => (text(crate::watchdog::reason_text(self.a)), Some(b)),
+            _ => (a, Some(b)),
+        };
+        let mut fields = vec![(a_name, a)];
+        fields.extend(b.map(|b| (b_name, b)));
+        (track, fields)
+    }
+
+    /// Human-readable one-liner for postmortem dumps: time, thread,
+    /// kind, the decoded fields, and an op span's duration.
+    pub fn render(&self) -> String {
+        let kind = format!("{:?}", self.kind);
+        let mut line = format!("[+{:>12}ns t{:02}] {kind:<14}", self.t_ns, self.tid);
+        for (name, value) in self.decode().1 {
+            line += &format!(" {name}={value}");
+        }
+        if self.t_ns > self.t0_ns {
+            line += &format!(" dur={}ns", self.t_ns - self.t0_ns);
+        }
+        line
     }
 }
 
@@ -267,20 +306,23 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one event on the calling thread.
+    /// Records one instant event on the calling thread.
     #[inline]
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        self.record_at(self.origin.elapsed().as_nanos() as u64, kind, a, b);
+        let t_ns = self.origin.elapsed().as_nanos() as u64;
+        self.record_span(t_ns, t_ns, kind, a, b);
     }
 
-    /// Records one event with a caller-supplied timestamp (nanoseconds
-    /// since the recorder's origin) so one `Instant::now()` can serve
-    /// both this event and another timeline (the lag tracker).
+    /// Records one event spanning `t0_ns..t_ns` (nanoseconds since the
+    /// recorder's origin), with caller-supplied timestamps so one clock
+    /// read can serve this event and other timelines (the lag tracker,
+    /// the op histograms).
     #[inline]
-    pub(crate) fn record_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
+    pub(crate) fn record_span(&self, t0_ns: u64, t_ns: u64, kind: EventKind, a: u64, b: u64) {
         let ring = self.rings[thread_id()].get_or_init(|| Box::new(Ring::new(self.capacity)));
         let n = ring.next.load(Ordering::Relaxed);
         let slot = &ring.slots[(n % ring.slots.len() as u64) as usize];
+        slot.t0_ns.store(t0_ns, Ordering::Relaxed);
         slot.t_ns.store(t_ns, Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
@@ -314,6 +356,7 @@ impl FlightRecorder {
                     continue;
                 };
                 events.push(FlightEvent {
+                    t0_ns: s.t0_ns.load(Ordering::Relaxed),
                     t_ns: s.t_ns.load(Ordering::Relaxed),
                     tid,
                     kind,
@@ -509,6 +552,21 @@ pub struct Obs {
     pub(crate) persist_chunks: LogHistogram,
 }
 
+/// The report name, unit, and field of each [`Obs`] histogram, in
+/// report order.
+type ObsHist = (&'static str, &'static str, fn(&Obs) -> &LogHistogram);
+const OBS_HISTOGRAMS: [ObsHist; 7] = [
+    ("op_latency_ns", "ns", |o| &o.op_latency_ns),
+    ("op_restarts", "restarts", |o| &o.op_restarts),
+    ("advance_ns", "ns", |o| &o.advance_ns),
+    ("persist_batch_blocks", "blocks", |o| {
+        &o.persist_batch_blocks
+    }),
+    ("batch_persist_ns", "ns", |o| &o.batch_persist_ns),
+    ("durability_lag_ns", "ns", |o| &o.durability_lag_ns),
+    ("persist_chunks", "chunks", |o| &o.persist_chunks),
+];
+
 impl Default for Obs {
     fn default() -> Self {
         Self::new()
@@ -538,30 +596,55 @@ impl Obs {
         }
     }
 
-    /// Records one lifecycle event (see [`EventKind`] for payloads).
+    /// The shared clock: nanoseconds since this `Obs` was built.
+    #[inline]
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// Records one instant lifecycle event (see [`EventKind`] for
+    /// payloads).
     #[inline]
     pub fn event(&self, kind: EventKind, a: u64, b: u64) {
         self.recorder.record(kind, a, b);
     }
 
-    /// Records an op commit: the `OpCommit` flight event *and* the
-    /// durability-lag span stamp, from a single `Instant::now()` so the
-    /// two timelines agree. `frontier` is the durable frontier at call
-    /// time (recycled-slot accounting; see [`LagTracker`]).
-    #[inline]
-    pub(crate) fn commit_event(&self, epoch: u64, restarts: u64, frontier: u64) {
-        let t_ns = self.origin.elapsed().as_nanos() as u64;
+    /// Closes an op attempt that started at `t0_ns` without committing:
+    /// one `OpAbort` or `OpPanicked` span.
+    pub(crate) fn op_span(&self, t0_ns: u64, kind: EventKind, epoch: u64, b: u64) {
         self.recorder
-            .record_at(t_ns, EventKind::OpCommit, epoch, restarts);
+            .record_span(t0_ns, self.now_ns(), kind, epoch, b);
+    }
+
+    /// Closes a committed op attempt that started at `t0_ns`, of an op
+    /// whose first attempt started at `first_t0_ns`. One clock read
+    /// feeds the `OpCommit` span, the durability-lag stamp (folded when
+    /// this epoch's batch publishes), and the op latency and restart
+    /// histograms. `frontier` is the durable frontier at call time
+    /// (recycled-slot accounting; see [`LagTracker`]).
+    #[inline]
+    pub(crate) fn commit(
+        &self,
+        first_t0_ns: u64,
+        t0_ns: u64,
+        epoch: u64,
+        restarts: u64,
+        frontier: u64,
+    ) {
+        let t_ns = self.now_ns();
+        self.recorder
+            .record_span(t0_ns, t_ns, EventKind::OpCommit, epoch, restarts);
         self.lag.record_commit(epoch, t_ns, frontier);
+        self.op_latency_ns.record(t_ns.saturating_sub(first_t0_ns));
+        self.op_restarts.record(restarts);
     }
 
     /// Folds every commit span of `epoch` into the `durability_lag_ns`
     /// histogram, stamped against now. Called by `complete_batch` when
     /// the batch closing `epoch` has fully persisted.
     pub(crate) fn fold_epoch_lag(&self, epoch: u64) -> u64 {
-        let now_ns = self.origin.elapsed().as_nanos() as u64;
-        self.lag.fold_epoch(epoch, now_ns, &self.durability_lag_ns)
+        self.lag
+            .fold_epoch(epoch, self.now_ns(), &self.durability_lag_ns)
     }
 
     /// The last `max` lifecycle events across all threads.
@@ -581,7 +664,7 @@ impl Obs {
         self.lag.dropped()
     }
 
-    /// End-to-end `run_op` latency, nanoseconds.
+    /// `run_op` latency, first attempt's start to commit, nanoseconds.
     pub fn op_latency_ns(&self) -> &LogHistogram {
         &self.op_latency_ns
     }
@@ -591,7 +674,7 @@ impl Obs {
         &self.op_restarts
     }
 
-    /// `try_advance` duration (successful transitions), nanoseconds.
+    /// `advance` duration, nanoseconds.
     pub fn advance_ns(&self) -> &LogHistogram {
         &self.advance_ns
     }
@@ -722,7 +805,18 @@ impl MetricsRegistry {
             let current_epoch = esys.current_epoch();
             let persisted_frontier = esys.persisted_frontier();
             let obs = esys.obs();
-            let lag = obs.durability_lag_ns.snapshot();
+            let snaps = OBS_HISTOGRAMS.map(|(name, unit, field)| NamedHist {
+                name,
+                unit,
+                snap: field(obs).snapshot(),
+            });
+            // The lag gauges read the same snapshot the histogram reports.
+            let lag = snaps
+                .iter()
+                .find(|h| h.name == "durability_lag_ns")
+                .expect("listed in OBS_HISTOGRAMS")
+                .snap;
+            histograms.extend(snaps);
             derived = Some(DerivedGauges {
                 current_epoch,
                 persisted_frontier,
@@ -736,41 +830,6 @@ impl MetricsRegistry {
                 flight_events_dropped: obs.flight_events_dropped(),
                 persist_workers: esys.persist_pool_workers(),
                 persist_worker_words: esys.persist_worker_words(),
-            });
-            histograms.push(NamedHist {
-                name: "op_latency_ns",
-                unit: "ns",
-                snap: obs.op_latency_ns.snapshot(),
-            });
-            histograms.push(NamedHist {
-                name: "op_restarts",
-                unit: "restarts",
-                snap: obs.op_restarts.snapshot(),
-            });
-            histograms.push(NamedHist {
-                name: "advance_ns",
-                unit: "ns",
-                snap: obs.advance_ns.snapshot(),
-            });
-            histograms.push(NamedHist {
-                name: "persist_batch_blocks",
-                unit: "blocks",
-                snap: obs.persist_batch_blocks.snapshot(),
-            });
-            histograms.push(NamedHist {
-                name: "batch_persist_ns",
-                unit: "ns",
-                snap: obs.batch_persist_ns.snapshot(),
-            });
-            histograms.push(NamedHist {
-                name: "durability_lag_ns",
-                unit: "ns",
-                snap: lag,
-            });
-            histograms.push(NamedHist {
-                name: "persist_chunks",
-                unit: "chunks",
-                snap: obs.persist_chunks.snapshot(),
             });
         }
         MetricsReport {
@@ -812,7 +871,9 @@ pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// histogram (fan-out width per batch), `epoch.coalesced_flushes`,
 /// and the `derived.persist_workers` /
 /// `derived.persist_worker_words[]` gauges — again pure additions.
-pub const METRICS_VERSION: u64 = 4;
+/// v5 removed `epoch.advance_failures` with the advance-failure
+/// injector that was its only source.
+pub const METRICS_VERSION: u64 = 5;
 
 /// Formats an `f64` as a JSON number token (never `NaN`/`inf`, which
 /// JSON forbids — non-finite values degrade to 0).
@@ -900,14 +961,13 @@ impl MetricsReport {
         if let Some(e) = &self.epoch {
             s.push_str(&format!(
                 ",\"epoch\":{{\"advances\":{},\"blocks_persisted\":{},\"words_persisted\":{},\
-                 \"blocks_reclaimed\":{},\"advance_failures\":{},\"backpressure_advances\":{},\
-                 \"pipeline_stalls\":{},\"persist_retries\":{},\"coalesced_flushes\":{},\
+                 \"blocks_reclaimed\":{},\"backpressure_advances\":{},\"pipeline_stalls\":{},\
+                 \"persist_retries\":{},\"coalesced_flushes\":{},\
                  \"degradations\":{},\"watchdog_fires\":{}}}",
                 e.advances,
                 e.blocks_persisted,
                 e.words_persisted,
                 e.blocks_reclaimed,
-                e.advance_failures,
                 e.backpressure_advances,
                 e.pipeline_stalls,
                 e.persist_retries,
@@ -1252,12 +1312,12 @@ mod tests {
     #[test]
     fn ring_records_and_dumps_in_order() {
         let r = FlightRecorder::new();
-        r.record(EventKind::OpBegin, 2, 0);
+        r.record(EventKind::Backpressure, 2, 0);
         r.record(EventKind::OpCommit, 2, 0);
         r.record(EventKind::EpochAdvance, 3, 1);
         let d = r.dump(16);
         assert_eq!(d.len(), 3);
-        assert_eq!(d[0].kind, EventKind::OpBegin);
+        assert_eq!(d[0].kind, EventKind::Backpressure);
         assert_eq!(d[2].kind, EventKind::EpochAdvance);
         assert!(d.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
@@ -1266,7 +1326,7 @@ mod tests {
     fn ring_wraps_keeping_newest() {
         let r = FlightRecorder::new();
         for i in 0..(RING_SLOTS as u64 + 10) {
-            r.record(EventKind::OpBegin, i, 0);
+            r.record(EventKind::OpCommit, i, 0);
         }
         let d = r.dump(usize::MAX);
         assert_eq!(d.len(), RING_SLOTS, "ring holds exactly RING_SLOTS");
@@ -1291,31 +1351,48 @@ mod tests {
     #[test]
     fn render_is_stable() {
         let e = FlightEvent {
+            t0_ns: 40,
             t_ns: 42,
             tid: 3,
             kind: EventKind::OpAbort,
             a: 5,
             b: 1 + crate::esys::OLD_SEE_NEW as u64,
         };
-        let s = e.render();
-        assert!(s.contains("OpAbort"), "{s}");
-        assert!(s.contains("old_see_new(0xa1)"), "{s}");
-        let f = FlightEvent {
-            t_ns: 1,
-            tid: 0,
-            kind: EventKind::FaultInjected,
-            a: 7,
-            b: 0,
-        };
-        assert!(f.render().contains("kind=clwb"));
+        assert_eq!(
+            e.render(),
+            "[+          42ns t03] OpAbort        epoch=5 cause=old_see_new(0xa1) dur=2ns"
+        );
+    }
+
+    #[test]
+    fn event_codes_round_trip() {
+        for kind in EventKind::ALL {
+            assert_eq!(EventKind::of(kind as u64), Some(kind));
+        }
+        assert_eq!(EventKind::of(0), None, "code 0 is unused");
+    }
+
+    #[test]
+    fn commit_feeds_span_lag_and_histograms_from_one_clock_read() {
+        let obs = Obs::new();
+        let t0 = obs.now_ns();
+        obs.commit(t0, t0, 2, 0, 0);
+        let d = obs.dump(usize::MAX);
+        assert_eq!(d.len(), 1, "one ring record per committed attempt");
+        assert_eq!((d[0].kind, d[0].t0_ns), (EventKind::OpCommit, t0));
+        let lat = obs.op_latency_ns().snapshot();
+        assert_eq!(lat.count, 1);
+        assert_eq!(lat.sum, d[0].t_ns - t0, "latency ends at the span's end");
+        assert_eq!(obs.op_restarts().snapshot().count, 1);
+        assert_eq!(obs.fold_epoch_lag(2), 1);
     }
 
     #[test]
     fn lag_spans_fold_into_the_histogram_on_publish() {
         let obs = Obs::new();
-        obs.commit_event(2, 0, 0);
-        obs.commit_event(2, 1, 0);
-        obs.commit_event(3, 0, 0); // a later epoch, different slot
+        obs.commit(0, 0, 2, 0, 0);
+        obs.commit(0, 0, 2, 1, 0);
+        obs.commit(0, 0, 3, 0, 0); // a later epoch, different slot
         assert_eq!(obs.fold_epoch_lag(2), 2, "exactly epoch 2's spans fold");
         let snap = obs.durability_lag_ns().snapshot();
         assert_eq!(snap.count, 2);
@@ -1329,8 +1406,8 @@ mod tests {
         // Epoch 2 commits, never publishes (frontier stays 0), and the
         // owner reuses the slot LAG_GENS epochs later — the span must be
         // counted as dropped, not silently lost or mis-folded.
-        obs.commit_event(2, 0, 0);
-        obs.commit_event(2 + LAG_GENS as u64, 0, 0);
+        obs.commit(0, 0, 2, 0, 0);
+        obs.commit(0, 0, 2 + LAG_GENS as u64, 0, 0);
         assert_eq!(obs.lag_spans_dropped(), 1);
         // The recycling epoch's own span is intact.
         assert_eq!(obs.fold_epoch_lag(2 + LAG_GENS as u64), 1);
@@ -1339,11 +1416,11 @@ mod tests {
     #[test]
     fn lag_slot_recycled_after_publish_is_not_dropped() {
         let obs = Obs::new();
-        obs.commit_event(2, 0, 0);
+        obs.commit(0, 0, 2, 0, 0);
         assert_eq!(obs.fold_epoch_lag(2), 1);
         // Frontier has passed epoch 2 by the time the slot recycles:
         // the publisher already folded it, so nothing was dropped.
-        obs.commit_event(2 + LAG_GENS as u64, 0, 5);
+        obs.commit(0, 0, 2 + LAG_GENS as u64, 0, 5);
         assert_eq!(obs.lag_spans_dropped(), 0);
     }
 
@@ -1352,7 +1429,7 @@ mod tests {
         let obs = Obs::new();
         let n = LAG_SAMPLES as u64 + 100;
         for _ in 0..n {
-            obs.commit_event(2, 0, 0);
+            obs.commit(0, 0, 2, 0, 0);
         }
         assert_eq!(obs.fold_epoch_lag(2), n, "overflow commits still fold");
         assert_eq!(obs.durability_lag_ns().snapshot().count, n);

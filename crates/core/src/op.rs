@@ -31,9 +31,7 @@ use crate::obs::{EventKind, ABORT_RESTART, ABORT_UNWIND};
 use htm_sim::RunError;
 use nvm_sim::{CrashTriggered, NvmAddr};
 use persist_alloc::{Header, CLASS_WORDS};
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 /// A deferred fix-up an operation wants to run *after* its registration
 /// is cleanly aborted but *before* the retry (e.g. BD-Spash splitting a
@@ -127,37 +125,49 @@ impl<R> CommitEffects<R> {
 /// drivers): registers the operation ([`EpochSys::begin_op`]) and takes
 /// the thread's preallocated block. Until defused by
 /// [`OpGuard::finish`] or [`OpGuard::abort`], dropping the guard —
-/// including a panic or injected-crash unwind mid-operation — returns
-/// the block to its slot and clears the epoch announcement, so an
-/// interrupted operation can never stall a future epoch advance or leak
-/// a stale-epoch block.
+/// including a panic or injected-crash unwind mid-operation, or inside
+/// the prealloc take itself — returns the block to its slot and clears
+/// the epoch announcement, so an interrupted operation can never stall
+/// a future epoch advance or leak a stale-epoch block.
+///
+/// Every attempt leaves exactly one flight record: an `OpCommit`,
+/// `OpAbort` or `OpPanicked` span from the attempt's start.
 pub struct OpGuard<'a> {
     esys: &'a EpochSys,
     epoch: u64,
     prealloc: Option<(&'a PreallocSlots, NvmAddr)>,
     armed: bool,
-    /// Flight-recorder tag for [`OpGuard::abort`]; the unwind default
-    /// distinguishes drop-glue aborts from deliberate restarts.
-    abort_tag: Cell<u64>,
-    /// Restart count reported with the commit event (set by `run_op`).
-    restarts: Cell<u64>,
+    /// Start of this attempt and of the op's first attempt, on the
+    /// [`Obs`](crate::Obs) clock.
+    t0_ns: u64,
+    first_t0_ns: u64,
+    /// Restarts before this attempt.
+    restarts: u64,
+    /// The span an unfinished attempt closes with: `OpAbort` with
+    /// [`ABORT_UNWIND`] unless `run_op` names a restart, an explicit
+    /// abort, or a panic.
+    end: (EventKind, u64),
 }
 
 impl<'a> OpGuard<'a> {
     /// Registers an operation in the current epoch and, when `prealloc`
     /// is given, takes the thread's spare block (Listing 1 lines 7–12).
     pub fn begin(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>) -> OpGuard<'a> {
-        let epoch = esys.begin_op();
-        esys.obs().event(EventKind::OpBegin, epoch, 0);
-        let prealloc = prealloc.map(|slots| (slots, slots.take(esys)));
-        OpGuard {
+        let t0_ns = esys.obs().now_ns();
+        let mut op = OpGuard {
             esys,
-            epoch,
-            prealloc,
+            epoch: esys.begin_op(),
+            prealloc: None,
             armed: true,
-            abort_tag: Cell::new(ABORT_UNWIND),
-            restarts: Cell::new(0),
-        }
+            t0_ns,
+            first_t0_ns: t0_ns,
+            restarts: 0,
+            end: (EventKind::OpAbort, ABORT_UNWIND),
+        };
+        // Taken through the live guard: a crash point inside the take
+        // unwinds through its drop glue and still leaves the record.
+        op.prealloc = prealloc.map(|slots| (slots, slots.take(esys)));
+        op
     }
 
     /// The epoch this attempt registered in (`op_epoch`).
@@ -185,10 +195,15 @@ impl<'a> OpGuard<'a> {
     /// (epoch reset) and the registration is cleared, refunding any
     /// buffered tracking (Listing 1 lines 39–41).
     pub fn abort(mut self) {
+        self.release();
+    }
+
+    /// The abort path shared by [`abort`](Self::abort) and the drop
+    /// glue: closes the attempt's span, returns the block, deregisters.
+    fn release(&mut self) {
         self.armed = false;
-        self.esys
-            .obs()
-            .event(EventKind::OpAbort, self.epoch, self.abort_tag.get());
+        let (kind, b) = self.end;
+        self.esys.obs().op_span(self.t0_ns, kind, self.epoch, b);
         if let Some((slots, blk)) = self.prealloc {
             slots.put_back(self.esys, blk);
         }
@@ -200,12 +215,11 @@ impl<'a> OpGuard<'a> {
     /// result.
     pub fn finish<R>(mut self, effects: CommitEffects<R>) -> R {
         self.armed = false;
-        // One timestamp feeds both the OpCommit flight event and the
-        // durability-lag span; the span is folded into the lag
-        // histogram when this epoch's batch publishes the frontier.
-        self.esys.obs().commit_event(
+        self.esys.obs().commit(
+            self.first_t0_ns,
+            self.t0_ns,
             self.epoch,
-            self.restarts.get(),
+            self.restarts,
             self.esys.persisted_frontier(),
         );
         if let Some(old) = effects.retire {
@@ -239,13 +253,7 @@ impl Drop for OpGuard<'_> {
         // an abort so a panic mid-operation — e.g. an injected crash —
         // leaves no stale announcement and no stale-epoch block.
         if self.armed {
-            self.esys
-                .obs()
-                .event(EventKind::OpAbort, self.epoch, ABORT_UNWIND);
-            if let Some((slots, blk)) = self.prealloc {
-                slots.put_back(self.esys, blk);
-            }
-            self.esys.abort_op();
+            self.release();
         }
     }
 }
@@ -274,11 +282,12 @@ pub fn run_op<'a, R>(
     prealloc: Option<&'a PreallocSlots>,
     mut body: impl FnMut(&OpGuard<'a>) -> Result<OpStep<'a, R>, RunError>,
 ) -> R {
-    let t0 = Instant::now();
+    let mut first_t0_ns = None;
     let mut restarts = 0u64;
     loop {
-        let op = OpGuard::begin(esys, prealloc);
-        op.restarts.set(restarts);
+        let mut op = OpGuard::begin(esys, prealloc);
+        op.first_t0_ns = *first_t0_ns.get_or_insert(op.t0_ns);
+        op.restarts = restarts;
         // A panicking body must not take the whole process down with an
         // HTM transaction open and an epoch announced: catch it, let the
         // guard's drop glue abort the registration (returning the block,
@@ -287,26 +296,21 @@ pub fn run_op<'a, R>(
         // guard unwinds `TXN_DEPTH`, so a panic inside a transaction
         // aborts it rather than leaking speculative state. Injected
         // crash points are the fault sweep's machine-death model, not an
-        // op failure — those pass through without the event.
+        // op failure — those close as an unwind abort instead.
         let step = match catch_unwind(AssertUnwindSafe(|| body(&op))) {
             Ok(step) => step,
             Err(payload) => {
                 if payload.downcast_ref::<CrashTriggered>().is_none() {
-                    esys.obs().event(EventKind::OpPanicked, op.epoch, restarts);
+                    op.end = (EventKind::OpPanicked, restarts);
                 }
                 drop(op);
                 resume_unwind(payload);
             }
         };
         match step {
-            Ok(OpStep::Commit(effects)) => {
-                let obs = esys.obs();
-                obs.op_latency_ns.record(t0.elapsed().as_nanos() as u64);
-                obs.op_restarts.record(restarts);
-                return op.finish(effects);
-            }
+            Ok(OpStep::Commit(effects)) => return op.finish(effects),
             Ok(OpStep::Restart(fixup)) => {
-                op.abort_tag.set(ABORT_RESTART);
+                op.end = (EventKind::OpAbort, ABORT_RESTART);
                 op.abort();
                 if let Some(f) = fixup {
                     f();
@@ -317,7 +321,7 @@ pub fn run_op<'a, R>(
                     code, OLD_SEE_NEW,
                     "unhandled explicit abort code {code:#x} escaped an operation body"
                 );
-                op.abort_tag.set(1 + code as u64);
+                op.end = (EventKind::OpAbort, 1 + code as u64);
                 op.abort();
             }
         }
@@ -433,6 +437,72 @@ mod tests {
     }
 
     #[test]
+    fn each_attempt_leaves_one_span() {
+        let (esys, _htm) = setup();
+        let slots = PreallocSlots::new(1);
+        let mut attempts = 0;
+        run_op(&esys, Some(&slots), |_op| {
+            attempts += 1;
+            if attempts < 3 {
+                OpStep::restart()
+            } else {
+                OpStep::commit(CommitEffects::of(()).keep_prealloc())
+            }
+        });
+        let d = esys.obs().dump(usize::MAX);
+        let records: Vec<_> = d.iter().map(|e| (e.kind, e.b)).collect();
+        assert_eq!(
+            records,
+            [
+                (EventKind::OpAbort, ABORT_RESTART),
+                (EventKind::OpAbort, ABORT_RESTART),
+                (EventKind::OpCommit, 2),
+            ]
+        );
+        assert!(
+            d.windows(2).all(|w| w[0].t_ns <= w[1].t0_ns),
+            "attempt spans follow each other: {d:?}"
+        );
+        let latency = esys.obs().op_latency_ns().snapshot();
+        assert_eq!(latency.count, 1);
+        assert_eq!(
+            latency.sum,
+            d[2].t_ns - d[0].t0_ns,
+            "latency runs from the first attempt's start to the commit span's end"
+        );
+        assert_eq!(esys.obs().op_restarts().snapshot().sum, 2);
+    }
+
+    #[test]
+    fn crash_inside_the_prealloc_take_leaves_an_unwind_span() {
+        let (esys, _htm) = setup();
+        let slots = PreallocSlots::new(1);
+        // The first crash point of the op is the allocation behind the
+        // empty slot's take, before the body runs.
+        esys.heap()
+            .arm_fault_plan(Arc::new(nvm_sim::FaultPlan::crash_at(0)));
+        let ran = std::cell::Cell::new(false);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_op(&esys, Some(&slots), |_op| {
+                ran.set(true);
+                OpStep::commit(CommitEffects::of(()))
+            })
+        }));
+        esys.heap().disarm_fault_plan();
+        let payload = r.expect_err("the armed crash point must fire");
+        assert!(payload.downcast_ref::<CrashTriggered>().is_some());
+        assert!(!ran.get(), "the crash fired inside the take");
+        let records: Vec<_> = esys
+            .obs()
+            .dump(usize::MAX)
+            .iter()
+            .map(|e| (e.kind, e.b))
+            .collect();
+        assert_eq!(records, [(EventKind::OpAbort, ABORT_UNWIND)]);
+        assert_eq!(esys.announced_epoch(), crate::esys::EMPTY_EPOCH);
+    }
+
+    #[test]
     fn op_panic_is_recorded_and_leaves_system_live() {
         let (esys, _htm) = setup();
         let slots = PreallocSlots::new(1);
@@ -448,14 +518,15 @@ mod tests {
             Some("op body bug"),
             "original payload must survive the catch/rethrow"
         );
-        // ... the flight recorder knows about it ...
-        assert!(
-            esys.obs()
-                .dump(usize::MAX)
-                .iter()
-                .any(|ev| ev.kind == EventKind::OpPanicked),
-            "OpPanicked event must be recorded"
-        );
+        // ... the flight recorder knows about it, as the attempt's one
+        // record ...
+        let records: Vec<_> = esys
+            .obs()
+            .dump(usize::MAX)
+            .iter()
+            .map(|e| (e.kind, e.b))
+            .collect();
+        assert_eq!(records, [(EventKind::OpPanicked, 0)]);
         // ... and the epoch machinery is fully live afterwards: no
         // stale announcement, advances move the clock and frontier.
         assert_eq!(esys.announced_epoch(), crate::esys::EMPTY_EPOCH);

@@ -416,27 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn ticker_survives_injected_advance_failures() {
-        let es = system(EpochConfig::manual().with_epoch_len(Duration::from_millis(2)));
-        // A burst of failures longer than one advance()'s retry budget:
-        // the ticker must absorb it across ticks and keep advancing.
-        es.inject_advance_failures(10);
-        let before = es.current_epoch();
-        let ticker = EpochTicker::spawn(Arc::clone(&es));
-        std::thread::sleep(Duration::from_millis(120));
-        ticker.stop();
-        assert_eq!(
-            es.stats().snapshot().advance_failures,
-            10,
-            "every injected failure must have been consumed"
-        );
-        assert!(
-            es.current_epoch() >= before + 3,
-            "ticker must advance past the fault burst"
-        );
-    }
-
-    #[test]
     fn persister_drains_on_stop_leaving_frontier_caught_up() {
         let es = system(EpochConfig::manual());
         let persister = Persister::spawn(Arc::clone(&es));

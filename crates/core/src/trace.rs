@@ -3,13 +3,15 @@
 //! [`chrome_trace`] converts a [`FlightRecorder`](crate::FlightRecorder)
 //! dump into the JSON object format consumed by `chrome://tracing` and
 //! <https://ui.perfetto.dev>: one track per worker thread showing each
-//! operation as a complete ("X") span from `OpBegin` to its
-//! commit/abort/panic, three virtual tracks for the epoch clock, the
-//! persist pipeline, and health events, and one flow arrow per epoch
-//! from its last commit to the `BatchPersisted` that made it durable —
-//! the durability lag of §3, drawn.
+//! op attempt as a complete ("X") span — one flight record, from the
+//! attempt's start to its commit/abort/panic — three virtual tracks for
+//! the epoch clock, the persist pipeline, and health events, and one
+//! flow arrow per epoch from its last commit to the `BatchPersisted`
+//! that made it durable — the durability lag of §3, drawn.
 //!
-//! Timestamps are the recorder's shared monotonic clock (µs in the
+//! Each event's name is its [`EventKind`], and its track and `args` come
+//! from [`FlightEvent::decode`], the decoder the postmortem dump uses
+//! too. Timestamps are the recorder's shared monotonic clock (µs in the
 //! output, as the format requires), so span edges, epoch seals, and the
 //! lag arrows all line up on one timeline. The trace `metadata` block
 //! carries `events_dropped` / `lag_spans_dropped` so a reader knows
@@ -17,7 +19,7 @@
 //! [`EpochConfig::flight_slots`](crate::EpochConfig::with_flight_slots)
 //! to widen it).
 
-use crate::obs::{EventKind, FlightEvent, Obs, ABORT_RESTART, ABORT_UNWIND};
+use crate::obs::{EventKind, Field, FlightEvent, Obs, Track};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -61,6 +63,18 @@ fn us(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1000, t_ns % 1000)
 }
 
+/// Decoded fields as the members of a JSON `args` object.
+fn args(fields: &[(&str, Field)]) -> String {
+    let members: Vec<String> = fields
+        .iter()
+        .map(|(name, value)| match value {
+            Field::Num(n) => format!("\"{name}\":{n}"),
+            Field::Text(s) => format!("\"{name}\":\"{}\"", esc(s)),
+        })
+        .collect();
+    members.join(",")
+}
+
 struct Events(String);
 
 impl Events {
@@ -71,22 +85,6 @@ impl Events {
         self.0.push_str("    {");
         self.0.push_str(body);
         self.0.push('}');
-    }
-
-    /// A complete ("X") span.
-    fn span(&mut self, name: &str, cat: &str, tid: usize, t_ns: u64, dur_ns: u64, args: &str) {
-        self.push(&format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{{}}}",
-            esc(name), cat, us(t_ns), us(dur_ns), tid, args
-        ));
-    }
-
-    /// A thread-scoped instant ("i").
-    fn instant(&mut self, name: &str, cat: &str, tid: usize, t_ns: u64, args: &str) {
-        self.push(&format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{{}}}",
-            esc(name), cat, us(t_ns), tid, args
-        ));
     }
 
     /// A flow start ("s") or finish ("f", binding to the enclosing
@@ -108,14 +106,6 @@ impl Events {
             tid_field,
             esc(name)
         ));
-    }
-}
-
-fn abort_cause(tag: u64) -> String {
-    match tag {
-        ABORT_RESTART => "\"restart\"".to_string(),
-        ABORT_UNWIND => "\"unwind\"".to_string(),
-        tag => format!("\"explicit({:#04x})\"", tag - 1),
     }
 }
 
@@ -144,140 +134,47 @@ pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
     let mut last_commit: HashMap<u64, (usize, u64)> = HashMap::new();
     let mut published: HashMap<u64, u64> = HashMap::new();
     for e in events {
-        match e.kind {
-            EventKind::OpCommit => {
-                last_commit.insert(e.a, (e.tid, e.t_ns));
-            }
-            EventKind::BatchPersisted => {
-                published.entry(e.a).or_insert(e.t_ns);
-            }
-            _ => {}
+        if e.kind == EventKind::OpCommit {
+            last_commit.insert(e.a, (e.tid, e.t_ns));
+        } else if e.kind == EventKind::BatchPersisted {
+            published.entry(e.a).or_insert(e.t_ns);
         }
     }
 
-    // Per-thread open op, for pairing OpBegin with its terminal event.
-    let mut open: HashMap<usize, u64> = HashMap::new();
     for e in events {
-        match e.kind {
-            EventKind::OpBegin => {
-                // A begin with a still-open predecessor means the
-                // terminal event was lost to ring wrap; render the
-                // orphan as an instant so it stays visible.
-                if let Some(t0) = open.insert(e.tid, e.t_ns) {
-                    out.instant(
-                        "op (end lost)",
-                        "op",
-                        e.tid,
-                        t0,
-                        &format!("\"epoch\":{}", e.a),
-                    );
-                }
-            }
-            EventKind::OpCommit | EventKind::OpAbort | EventKind::OpPanicked => {
-                let (name, args) = match e.kind {
-                    EventKind::OpCommit => {
-                        ("op", format!("\"epoch\":{},\"restarts\":{}", e.a, e.b))
-                    }
-                    EventKind::OpAbort => (
-                        "op (abort)",
-                        format!("\"epoch\":{},\"cause\":{}", e.a, abort_cause(e.b)),
-                    ),
-                    _ => (
-                        "op (panic)",
-                        format!("\"epoch\":{},\"restarts\":{}", e.a, e.b),
-                    ),
-                };
-                match open.remove(&e.tid) {
-                    Some(t0) => out.span(name, "op", e.tid, t0, e.t_ns.saturating_sub(t0), &args),
-                    // Begin lost to ring wrap: zero-width span at the end.
-                    None => out.span(name, "op", e.tid, e.t_ns, 0, &args),
-                }
-                // Durability-lag arrow: from the epoch's last commit to
-                // the instant its frontier published.
-                if e.kind == EventKind::OpCommit
-                    && last_commit.get(&e.a) == Some(&(e.tid, e.t_ns))
-                    && published.contains_key(&e.a)
-                {
-                    out.flow('s', e.a, e.tid, e.t_ns);
-                }
-            }
-            EventKind::EpochAdvance => out.instant(
-                "epoch-advance",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"epoch\":{},\"frontier\":{}", e.a, e.b),
-            ),
-            EventKind::BatchSealed => out.instant(
-                "batch-sealed",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"blocks\":{},\"words\":{}", e.a, e.b),
-            ),
-            EventKind::PipelineStall => out.instant(
-                "pipeline-stall",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"in_flight\":{},\"depth\":{}", e.a, e.b),
-            ),
-            EventKind::BatchPersisted => {
-                out.instant(
-                    "frontier-publish",
-                    "persist",
-                    TID_PERSIST,
-                    e.t_ns,
-                    &format!("\"frontier\":{},\"blocks\":{}", e.a, e.b),
-                );
-                if published.get(&e.a) == Some(&e.t_ns) && last_commit.contains_key(&e.a) {
-                    out.flow('f', e.a, TID_PERSIST, e.t_ns);
-                }
-            }
-            EventKind::PersistRetry => out.instant(
-                "persist-retry",
-                "persist",
-                TID_PERSIST,
-                e.t_ns,
-                &format!("\"epoch\":{},\"attempt\":{}", e.a, e.b),
-            ),
-            EventKind::Backpressure => out.instant(
-                "backpressure",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"buffered\":{},\"bound\":{}", e.a, e.b),
-            ),
-            EventKind::DegradedToSync => out.instant(
-                "health-ratchet",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!(
-                    "\"to\":\"{}\",\"cause_epoch\":{}",
-                    crate::HealthState::from_code(e.a.min(u8::MAX as u64) as u8).as_str(),
-                    e.b
-                ),
-            ),
-            EventKind::WatchdogFired => out.instant(
-                "watchdog-fired",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"reason\":{},\"consecutive\":{}", e.a, e.b),
-            ),
-            EventKind::FaultInjected => out.instant(
-                "fault-injected",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"point\":{},\"kind\":{}", e.a, e.b),
-            ),
+        let (track, fields) = e.decode();
+        let (tid, cat) = match track {
+            Track::Thread => (e.tid, "op"),
+            Track::Epoch => (TID_EPOCH, "epoch"),
+            Track::Persist => (TID_PERSIST, "persist"),
+            Track::Health => (TID_HEALTH, "health"),
+        };
+        let (name, args) = (format!("{:?}", e.kind), args(&fields));
+        if track == Track::Thread {
+            out.push(&format!(
+                "\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}",
+                us(e.t0_ns),
+                us(e.t_ns.saturating_sub(e.t0_ns)),
+            ));
+        } else {
+            out.push(&format!(
+                "\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}",
+                us(e.t_ns),
+            ));
         }
-    }
-    // Ops still open at the end of the window (e.g. a crashed run).
-    for (tid, t0) in open {
-        out.instant("op (unfinished)", "op", tid, t0, "");
+        // Durability-lag arrow: from the epoch's last commit to the
+        // instant its frontier published.
+        if e.kind == EventKind::OpCommit
+            && last_commit.get(&e.a) == Some(&(e.tid, e.t_ns))
+            && published.contains_key(&e.a)
+        {
+            out.flow('s', e.a, tid, e.t_ns);
+        } else if e.kind == EventKind::BatchPersisted
+            && published.get(&e.a) == Some(&e.t_ns)
+            && last_commit.contains_key(&e.a)
+        {
+            out.flow('f', e.a, tid, e.t_ns);
+        }
     }
 
     format!(
@@ -304,10 +201,11 @@ pub fn chrome_trace_from_obs(obs: &Obs) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::JsonValue;
+    use crate::obs::{JsonValue, ABORT_RESTART};
 
-    fn ev(t_ns: u64, tid: usize, kind: EventKind, a: u64, b: u64) -> FlightEvent {
+    fn ev(t0_ns: u64, t_ns: u64, tid: usize, kind: EventKind, a: u64, b: u64) -> FlightEvent {
         FlightEvent {
+            t0_ns,
             t_ns,
             tid,
             kind,
@@ -316,15 +214,21 @@ mod tests {
         }
     }
 
+    fn trace_events(json: &str) -> Vec<JsonValue> {
+        let v = JsonValue::parse(json).expect("trace must be valid JSON");
+        v.get("traceEvents")
+            .and_then(|e| e.as_arr())
+            .unwrap()
+            .to_vec()
+    }
+
     #[test]
-    fn trace_parses_and_pairs_op_spans() {
+    fn trace_parses_and_draws_op_spans() {
         let events = vec![
-            ev(1_000, 0, EventKind::OpBegin, 2, 0),
-            ev(5_000, 0, EventKind::OpCommit, 2, 1),
-            ev(6_000, 1, EventKind::OpBegin, 2, 0),
-            ev(7_000, 1, EventKind::OpAbort, 2, ABORT_RESTART),
-            ev(9_000, 0, EventKind::EpochAdvance, 3, 0),
-            ev(12_000, 2, EventKind::BatchPersisted, 2, 4),
+            ev(1_000, 5_000, 0, EventKind::OpCommit, 2, 1),
+            ev(6_000, 7_000, 1, EventKind::OpAbort, 2, ABORT_RESTART),
+            ev(9_000, 9_000, 0, EventKind::EpochAdvance, 3, 0),
+            ev(12_000, 12_000, 2, EventKind::BatchPersisted, 2, 4),
         ];
         let json = chrome_trace(
             &events,
@@ -333,10 +237,14 @@ mod tests {
                 lag_spans_dropped: 1,
             },
         );
-        let v = JsonValue::parse(&json).expect("trace must be valid JSON");
-        let evs = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        assert!(
+            json.starts_with("{\n\"traceEvents\": [\n"),
+            "the document header is what span splicers match"
+        );
+        let v = JsonValue::parse(&json).unwrap();
+        let evs = trace_events(&json);
 
-        // The commit became an X span of 4 µs on tid 0.
+        // The commit record became an X span of 4 µs on tid 0.
         let span = evs
             .iter()
             .find(|e| {
@@ -344,6 +252,7 @@ mod tests {
                     && e.get("tid").and_then(|t| t.as_u64()) == Some(0)
             })
             .expect("commit span");
+        assert_eq!(span.get("ts").and_then(|d| d.as_f64()), Some(1.0));
         assert_eq!(span.get("dur").and_then(|d| d.as_f64()), Some(4.0));
 
         // The lag arrow exists: one flow start on the committer, one
@@ -372,17 +281,76 @@ mod tests {
         );
     }
 
+    /// The dump line and the trace event of every kind carry the same
+    /// decoded fields, including the text fields: the abort cause, the
+    /// crash-point kind, an absent cause epoch and the watchdog reason.
     #[test]
-    fn orphan_terminal_becomes_zero_width_span() {
-        let events = vec![ev(2_000, 0, EventKind::OpCommit, 2, 0)];
-        let json = chrome_trace(&events, &TraceMeta::default());
-        let v = JsonValue::parse(&json).unwrap();
-        let evs = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
-        let span = evs
+    fn dump_and_trace_carry_the_same_fields() {
+        let events: Vec<FlightEvent> = EventKind::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let t = 1_000 * (i as u64 + 1);
+                let (t0, a, b) = match kind {
+                    EventKind::OpAbort => (t - 500, 5, 1 + crate::esys::OLD_SEE_NEW as u64),
+                    EventKind::OpCommit | EventKind::OpPanicked => (t - 500, 5, 1),
+                    EventKind::FaultInjected => (t, 7, nvm_sim::CrashPointKind::Clwb.code()),
+                    EventKind::DegradedToSync => (t, 1, u64::MAX),
+                    EventKind::WatchdogFired => (t, crate::watchdog::STALL_ADVANCE, 1),
+                    _ => (t, 3, 4),
+                };
+                ev(t0, t, 0, kind, a, b)
+            })
+            .collect();
+        let evs = trace_events(&chrome_trace(&events, &TraceMeta::default()));
+        for e in &events {
+            let name = format!("{:?}", e.kind);
+            let traced = evs
+                .iter()
+                .find(|t| t.get("name").and_then(|n| n.as_str()) == Some(name.as_str()))
+                .unwrap_or_else(|| panic!("{name} missing from the trace"));
+            let args = traced.get("args").unwrap();
+            let line = e.render();
+            let (_, fields) = e.decode();
+            let JsonValue::Obj(members) = args else {
+                panic!("{name}: args is not an object")
+            };
+            assert_eq!(members.len(), fields.len(), "{name}: {line}");
+            for (key, value) in &fields {
+                let in_trace = match value {
+                    Field::Num(n) => args.get(key).and_then(|v| v.as_u64()) == Some(*n),
+                    Field::Text(s) => args.get(key).and_then(|v| v.as_str()) == Some(s.as_str()),
+                };
+                assert!(in_trace, "{name}: trace lacks {key}={value}");
+                assert!(
+                    line.contains(&format!(" {key}={value}")),
+                    "{name}: dump lacks {key}={value}: {line}"
+                );
+            }
+        }
+        let arg = |kind: EventKind, key: &str| {
+            let name = format!("{kind:?}");
+            evs.iter()
+                .find(|t| t.get("name").and_then(|n| n.as_str()) == Some(name.as_str()))
+                .and_then(|t| t.get("args"))
+                .and_then(|a| a.get(key))
+                .cloned()
+        };
+        let text = |s: &str| Some(JsonValue::Str(s.to_string()));
+        assert_eq!(arg(EventKind::OpAbort, "cause"), text("old_see_new(0xa1)"));
+        assert_eq!(arg(EventKind::FaultInjected, "kind"), text("clwb"));
+        assert_eq!(arg(EventKind::DegradedToSync, "cause_epoch"), None);
+        assert_eq!(
+            arg(EventKind::WatchdogFired, "reason"),
+            text("stalled epoch advance")
+        );
+        let dump: Vec<String> = events.iter().map(FlightEvent::render).collect();
+        assert!(dump[0].contains("cause=old_see_new(0xa1)"), "{}", dump[0]);
+        assert!(dump.iter().any(|l| l.contains("kind=clwb")));
+        assert!(dump.iter().all(|l| !l.contains("cause_epoch")));
+        assert!(dump
             .iter()
-            .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
-            .unwrap();
-        assert_eq!(span.get("dur").and_then(|d| d.as_f64()), Some(0.0));
+            .any(|l| l.contains("reason=\"stalled epoch advance\"")));
     }
 
     #[test]

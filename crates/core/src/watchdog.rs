@@ -114,6 +114,11 @@ const REASONS: [&str; 3] = [
     "wedged persister",
 ];
 
+/// The log text of a `STALL_*` reason code (`"?"` for an unknown one).
+pub(crate) fn reason_text(code: u64) -> &'static str {
+    REASONS.get(code as usize).copied().unwrap_or("?")
+}
+
 /// The watch role's state: the previous progress sample and the run of
 /// consecutive firings.
 pub(crate) struct WatchState {
@@ -157,7 +162,11 @@ impl WatchState {
         eprintln!(
             "bdhtm watchdog: {} (firing #{consecutive}; clock={} frontier={} \
              in_flight={} buffered={})",
-            REASONS[reason as usize], cur.clock, cur.frontier, cur.in_flight, cur.buffered
+            reason_text(reason),
+            cur.clock,
+            cur.frontier,
+            cur.in_flight,
+            cur.buffered
         );
         for ev in esys.obs().dump(32) {
             eprintln!("bdhtm watchdog:   {}", ev.render());

@@ -8,8 +8,6 @@
 //!   ([`nvm_sim::FaultPlan`]),
 //! * the HTM layer's seeded abort injection
 //!   ([`htm_sim::HtmConfig::with_abort_injection`]),
-//! * the epoch system's injectable advance failures
-//!   ([`bdhtm_core::EpochSys::inject_advance_failures`]),
 //!
 //! and sweeps every persist boundary a workload crosses — synchronously
 //! or with batches in flight on a hand-stepped runtime — see

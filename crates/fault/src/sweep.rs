@@ -710,8 +710,8 @@ mod tests {
             );
             assert!(
                 dump.iter()
-                    .any(|ev| ev.kind == EventKind::OpBegin || ev.kind == EventKind::OpCommit),
-                "lifecycle events must precede the fault"
+                    .any(|ev| ev.kind == EventKind::OpAbort || ev.kind == EventKind::OpCommit),
+                "op records must precede the fault"
             );
         }
     }

@@ -23,7 +23,7 @@ fn main() {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(64 << 20)));
     let esys = EpochSys::format(
         Arc::clone(&heap),
-        EpochConfig::default().with_epoch_len(Duration::from_millis(5)),
+        sink.epoch_config(EpochConfig::default().with_epoch_len(Duration::from_millis(5))),
     );
     let htm = Arc::new(Htm::new(HtmConfig::default()));
     sink.attach_htm(&htm);
